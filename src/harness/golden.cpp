@@ -50,6 +50,32 @@ AdversarySpec spec_for(AdversaryKind kind, std::uint32_t n) {
   return spec;
 }
 
+/// Wire-fault and timing cells: n/8 Byzantine senders (the equivocator
+/// capped at the claims preset's 6 corrupting rounds so honest views
+/// reconverge), and delay bound 4 with GST at tick 8.
+AdversarySpec fault_spec_for(AdversaryKind kind, std::uint32_t n) {
+  AdversarySpec spec;
+  spec.kind = kind;
+  switch (kind) {
+    case AdversaryKind::kByzantineLiar:
+      spec.byzantine = n / 8;
+      break;
+    case AdversaryKind::kByzantineEquivocator:
+      spec.byzantine = n / 8;
+      spec.byzantine_rounds = 6;
+      break;
+    case AdversaryKind::kBoundedDelay:
+      spec.delay = {.max_delay = 4};
+      break;
+    case AdversaryKind::kGst:
+      spec.delay = {.max_delay = 4, .gst = 8};
+      break;
+    default:
+      break;
+  }
+  return spec;
+}
+
 }  // namespace
 
 std::vector<GoldenCell> golden_grid() {
@@ -105,6 +131,20 @@ std::vector<GoldenCell> golden_grid() {
       }
     }
   }
+  // Byzantine validation (tolerate_byzantine) and the event-driven delay
+  // path: BiL only, since the baselines reject Byzantine budgets.
+  for (std::uint32_t n : kSizes) {
+    for (std::uint64_t seed : kSeeds) {
+      for (AdversaryKind kind :
+           {AdversaryKind::kByzantineLiar, AdversaryKind::kByzantineEquivocator,
+            AdversaryKind::kBoundedDelay, AdversaryKind::kGst}) {
+        grid.push_back(GoldenCell{.algorithm = Algorithm::kBallsIntoLeaves,
+                                  .adversary = fault_spec_for(kind, n),
+                                  .n = n,
+                                  .seed = seed});
+      }
+    }
+  }
   return grid;
 }
 
@@ -141,6 +181,10 @@ std::string describe(const GoldenCell& cell) {
   text += to_string(cell.adversary.kind);
   text += " (t=";
   text += std::to_string(cell.adversary.crashes);
+  if (cell.adversary.byzantine > 0) {
+    text += " f=";
+    text += std::to_string(cell.adversary.byzantine);
+  }
   text += ") / ";
   text += core::to_string(cell.termination);
   text += " / n=";

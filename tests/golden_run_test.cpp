@@ -7,7 +7,10 @@
 // fabric landed — so a pass here proves the fabric is behavior-preserving:
 // identical rounds, identical decided names (hashed), identical traffic
 // counters, for every algorithm × adversary × n × seed cell in
-// harness::golden_grid().
+// harness::golden_grid(). The Byzantine (liar, bounded equivocator) and
+// delay (bounded-delay, GST) cells joined later, captured from the engine
+// that still delivered every fault round per recipient and ran delay rounds
+// serially, before inbox classes and the pooled async path replaced both.
 //
 // To re-capture after an intentional semantic change:
 //   $ cmake --build build --target golden_gen
@@ -126,7 +129,7 @@ TEST(GoldenRuns, TwoChoiceAllocatorIsBitIdentical) {
 //
 // The splitter baseline joined after the kGolden table was pinned;
 // golden_grid() hardcodes its algorithm list, so these cells live in their
-// own table rather than perturbing the 148-cell fingerprint. Same contract:
+// own table rather than perturbing the golden_grid() fingerprint. Same contract:
 // rounds, crash count, and an FNV-1a hash of the full name vector, captured
 // at introduction.
 
