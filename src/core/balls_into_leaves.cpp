@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/messages.h"
@@ -317,16 +318,17 @@ void BallsIntoLeavesProcess::process_init_tolerant(
   // Bind each sender to the first label it announced. Labels are unique and
   // fixed by assumption (paper §3), so a sender announcing a second label,
   // or claiming a label another sender already owns, is provably lying.
+  std::unordered_map<sim::Label, sim::ProcessId> owners;
+  owners.reserve(inits.size());
   for (const Attributed<InitMsg>& init : inits) {
-    const auto bound = label_of_sender_.find(init.from);
-    if (bound != label_of_sender_.end()) {
-      if (bound->second != init.msg.label) {
+    if (const std::optional<sim::Label> bound = bound_label(init.from)) {
+      if (*bound != init.msg.label) {
         suspect(init.from);  // one sender, two labels: a phantom ball
       }
       continue;
     }
-    const auto owner = sender_of_label_.find(init.msg.label);
-    if (owner != sender_of_label_.end() && owner->second != init.from) {
+    const auto owner = owners.find(init.msg.label);
+    if (owner != owners.end() && owner->second != init.from) {
       // Two senders claim one label. At most one is honest, and nothing in
       // an unauthenticated payload says which — suspect both, symmetrically
       // and deterministically in every view. (If the honest victim is *us*,
@@ -338,9 +340,15 @@ void BallsIntoLeavesProcess::process_init_tolerant(
       suspect(owner->second);
       continue;
     }
-    label_of_sender_.emplace(init.from, init.msg.label);
-    sender_of_label_.emplace(init.msg.label, init.from);
+    if (init.from >= label_of_sender_.size()) {
+      label_of_sender_.resize(init.from + 1);
+    }
+    label_of_sender_[init.from] = init.msg.label;
+    owners.emplace(init.msg.label, init.from);
   }
+  // Bindings only ever form here; freeze them for the per-round lookups.
+  sender_of_label_.assign(owners.begin(), owners.end());
+  std::sort(sender_of_label_.begin(), sender_of_label_.end());
 
   // Insert the surviving bindings at the root, first-seen order, once each.
   std::vector<sim::Label> labels;
@@ -374,12 +382,11 @@ void BallsIntoLeavesProcess::process_round1_tolerant(
   // Forgery pre-pass: a message speaking for a label its sender does not
   // own is a provable lie (Envelope::from is engine-authenticated). The
   // index's iteration order is unspecified, but suspecting distinct senders
-  // commutes (insert into a set + remove that sender's own ball), so the
+  // commutes (set its flag + remove that sender's own ball), so the
   // post-pass view state is deterministic.
   for (const auto& [label, claims] : paths) {
     for (const Attributed<PathMsg>& claim : claims) {
-      if (const auto bound = label_of_sender_.find(claim.from);
-          bound == label_of_sender_.end() || bound->second != label) {
+      if (bound_label(claim.from) != label) {
         suspect(claim.from);
       }
     }
@@ -391,12 +398,11 @@ void BallsIntoLeavesProcess::process_round1_tolerant(
     // The one trustworthy path for this ball: sent by its bound sender,
     // which is not suspected. Anything else is treated as silence.
     const Attributed<PathMsg>* path = nullptr;
-    const auto owner = sender_of_label_.find(ball);
-    if (owner != sender_of_label_.end() &&
-        suspected_.find(owner->second) == suspected_.end()) {
+    const sim::ProcessId owner = owner_of(ball);
+    if (owner != sim::kNoProcess && !is_suspected(owner)) {
       if (const auto it = paths.find(ball); it != paths.end()) {
         for (const Attributed<PathMsg>& claim : it->second) {
-          if (claim.from == owner->second) {
+          if (claim.from == owner) {
             path = &claim;
             break;
           }
@@ -436,8 +442,7 @@ void BallsIntoLeavesProcess::process_round2_tolerant(
       *sim::round_index(inbox, scratch, &index_all_by_label<PositionMsg>);
   for (const auto& [label, claims] : positions) {
     for (const Attributed<PositionMsg>& claim : claims) {
-      if (const auto bound = label_of_sender_.find(claim.from);
-          bound == label_of_sender_.end() || bound->second != label) {
+      if (bound_label(claim.from) != label) {
         suspect(claim.from);
       }
     }
@@ -447,12 +452,11 @@ void BallsIntoLeavesProcess::process_round2_tolerant(
       continue;
     }
     const Attributed<PositionMsg>* position = nullptr;
-    const auto owner = sender_of_label_.find(ball);
-    if (owner != sender_of_label_.end() &&
-        suspected_.find(owner->second) == suspected_.end()) {
+    const sim::ProcessId owner = owner_of(ball);
+    if (owner != sim::kNoProcess && !is_suspected(owner)) {
       if (const auto it = positions.find(ball); it != positions.end()) {
         for (const Attributed<PositionMsg>& claim : it->second) {
-          if (claim.from == owner->second) {
+          if (claim.from == owner) {
             position = &claim;
             break;
           }
@@ -473,22 +477,32 @@ void BallsIntoLeavesProcess::process_round2_tolerant(
 }
 
 void BallsIntoLeavesProcess::suspect(sim::ProcessId sender) {
-  if (!suspected_.insert(sender).second) {
+  if (is_suspected(sender)) {
     return;
   }
-  const auto bound = label_of_sender_.find(sender);
-  if (bound != label_of_sender_.end() && view_.contains(bound->second)) {
-    view_.remove(bound->second);
+  if (sender >= suspected_.size()) {
+    suspected_.resize(sender + 1, 0);
+  }
+  suspected_[sender] = 1;
+  ++suspected_count_;
+  const std::optional<sim::Label> bound = bound_label(sender);
+  if (bound && view_.contains(*bound)) {
+    view_.remove(*bound);
   }
 }
 
 bool BallsIntoLeavesProcess::trusted_claim(sim::ProcessId from,
                                            sim::Label label) const {
-  if (suspected_.find(from) != suspected_.end()) {
-    return false;
-  }
-  const auto bound = label_of_sender_.find(from);
-  return bound != label_of_sender_.end() && bound->second == label;
+  return !is_suspected(from) && bound_label(from) == label;
+}
+
+sim::ProcessId BallsIntoLeavesProcess::owner_of(sim::Label label) const {
+  const auto it = std::lower_bound(
+      sender_of_label_.begin(), sender_of_label_.end(), label,
+      [](const std::pair<sim::Label, sim::ProcessId>& binding,
+         sim::Label key) { return binding.first < key; });
+  return it != sender_of_label_.end() && it->first == label ? it->second
+                                                            : sim::kNoProcess;
 }
 
 void BallsIntoLeavesProcess::resolve_leaf_conflicts() {
@@ -504,16 +518,25 @@ void BallsIntoLeavesProcess::resolve_leaf_conflicts() {
   // lies keep re-planting it at a contested leaf bounces instead, but only
   // until its own (honest, uncorrupted) view terminates: then it halts,
   // goes silent, and the silence rule purges its ball from every view.
-  conflict_scratch_.clear();
-  for (const sim::Label ball : view_.balls()) {  // ascending labels
+  const std::vector<sim::Label> balls = view_.balls();  // ascending labels
+  const std::uint32_t leaves = shape_->num_leaves();
+  leaf_claims_.assign(leaves + 1, 0);
+  for (const sim::Label ball : balls) {
     const tree::NodeId node = view_.current(ball);
     if (!shape_->is_leaf(node)) {
       continue;
     }
-    if (!conflict_scratch_.emplace(node, ball).second) {
+    std::uint32_t& claimed = leaf_claims_[shape_->leaf_rank(node) + 1];
+    if (claimed != 0) {
       view_.reposition(ball, tree::TreeShape::root());
       ++evictions_;
+    } else {
+      claimed = 1;
     }
+  }
+  // Prefix counts: the claimed leaves of a subtree are a rank range.
+  for (std::uint32_t rank = 1; rank <= leaves; ++rank) {
+    leaf_claims_[rank] += leaf_claims_[rank - 1];
   }
   // Unstick rule. Equivocation can also strand a ball at an inner node
   // whose subtree is *genuinely* full: a forged path claim diverged the
@@ -530,20 +553,14 @@ void BallsIntoLeavesProcess::resolve_leaf_conflicts() {
   // same balls, and the restarted ball re-descends toward real slack next
   // phase. The root itself can never be "full" here: with this ball off any
   // leaf, at most num_leaves - 1 leaves are occupied.
-  for (const sim::Label ball : view_.balls()) {
+  for (const sim::Label ball : balls) {
     const tree::NodeId node = view_.current(ball);
     if (shape_->is_leaf(node) || node == tree::TreeShape::root()) {
       continue;
     }
     const std::uint32_t first = shape_->first_leaf(node);
-    std::uint32_t occupied = 0;
-    for (std::uint32_t rank = first; rank < first + shape_->leaf_count(node);
-         ++rank) {
-      if (conflict_scratch_.contains(shape_->leaf_at(rank))) {
-        ++occupied;
-      }
-    }
-    if (occupied == shape_->leaf_count(node)) {
+    const std::uint32_t count = shape_->leaf_count(node);
+    if (leaf_claims_[first + count] - leaf_claims_[first] == count) {
       view_.reposition(ball, tree::TreeShape::root());
       ++evictions_;
     }

@@ -31,8 +31,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/observer.h"
@@ -166,7 +164,7 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
   }
   /// Senders this process has caught lying (tolerate_byzantine only).
   [[nodiscard]] std::size_t suspected_count() const noexcept {
-    return suspected_.size();
+    return suspected_count_;
   }
   /// Balls this process restarted at the root — evicted from a
   /// multiply-claimed leaf, or unstuck from an inner node whose subtree had
@@ -193,6 +191,17 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
   void suspect(sim::ProcessId sender);
   /// True iff `from` is the sender bound to `label` and not suspected.
   [[nodiscard]] bool trusted_claim(sim::ProcessId from, sim::Label label) const;
+  /// The label `sender` bound at init, if any.
+  [[nodiscard]] std::optional<sim::Label> bound_label(
+      sim::ProcessId sender) const {
+    return sender < label_of_sender_.size() ? label_of_sender_[sender]
+                                            : std::nullopt;
+  }
+  [[nodiscard]] bool is_suspected(sim::ProcessId sender) const {
+    return sender < suspected_.size() && suspected_[sender] != 0;
+  }
+  /// The sender bound to `label` at init, or kNoProcess.
+  [[nodiscard]] sim::ProcessId owner_of(sim::Label label) const;
   /// Lowest label keeps a multiply-claimed leaf; the rest restart at the
   /// root, as does any ball stranded at an inner node with no free leaf
   /// below it (the unstick rule). Runs after each position round.
@@ -211,13 +220,18 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
 
   // -- Byzantine validation state (tolerate_byzantine only; all empty and
   // untouched in crash-only runs) ------------------------------------------
-  /// label ↔ sender bindings formed at init (first init per sender wins).
-  std::unordered_map<sim::ProcessId, sim::Label> label_of_sender_;
-  std::unordered_map<sim::Label, sim::ProcessId> sender_of_label_;
-  std::unordered_set<sim::ProcessId> suspected_;
+  /// label ↔ sender bindings, formed at init only (first init per sender
+  /// wins): the bound label per sender id, and the same bindings as
+  /// (label, sender) pairs sorted by label, frozen once init completes.
+  std::vector<std::optional<sim::Label>> label_of_sender_;
+  std::vector<std::pair<sim::Label, sim::ProcessId>> sender_of_label_;
+  /// Suspected flag per sender id, and the number set.
+  std::vector<char> suspected_;
+  std::size_t suspected_count_ = 0;
   std::uint64_t evictions_ = 0;
-  /// resolve_leaf_conflicts scratch: leaf -> lowest label seen this pass.
-  std::unordered_map<tree::NodeId, sim::Label> conflict_scratch_;
+  /// resolve_leaf_conflicts scratch: entry r + 1 flags leaf rank r as
+  /// claimed, then becomes the number of claimed ranks below r + 1.
+  std::vector<std::uint32_t> leaf_claims_;
 };
 
 }  // namespace bil::core

@@ -26,6 +26,7 @@
 // failure (and its exception cost) is also paid once per buffer.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <typeindex>
@@ -40,23 +41,38 @@ namespace bil::sim {
 
 class DecodeCache {
  public:
-  /// Drops every entry. The engine calls this at the start of each round's
-  /// delivery, before any lookup against that round's payloads.
+  /// Drops every entry and every registered inbox. The engine calls this at
+  /// the start of each round's delivery, before any lookup against that
+  /// round's payloads.
   void begin_round() {
     entries_.clear();
-    shared_data_ = nullptr;
-    shared_count_ = 0;
-    index_memo_.clear();
+    memos_.clear();
   }
 
-  /// Registers the round's shared delivery plan — the one span every
-  /// unexceptional alive recipient receives. Only this exact span is
-  /// eligible for plan-level memoization (see get_or_build_shared): spans
-  /// assembled per recipient live in reused arenas whose addresses are not
-  /// stable identities.
-  void set_shared_inbox(const Envelope* data, std::size_t count) {
-    shared_data_ = data;
-    shared_count_ = count;
+  /// Registers a delivery span that several recipients receive unchanged —
+  /// the round's shared plan, or one delivery class's assembled inbox (see
+  /// sim/engine.h). Only registered spans are eligible for whole-inbox
+  /// memoization (get_or_build_memo), each with its own memo: a scratch
+  /// span assembled for one recipient lives in a reused arena whose address
+  /// is not a stable identity, so it is never registered. The span must
+  /// stay alive and unmodified until release_inbox or the next begin_round.
+  void register_inbox(std::span<const Envelope> inbox) {
+    memos_.push_back(InboxMemo{inbox.data(), inbox.size(), {}});
+  }
+
+  /// Unregisters a span and frees what was memoized for it. The engine
+  /// calls this once a class's last recipient has received, so the arena
+  /// can be reused — possibly at the same address, for another class —
+  /// without the old memo ever being served for it.
+  void release_inbox(std::span<const Envelope> inbox) {
+    const auto it = std::find_if(
+        memos_.begin(), memos_.end(), [&](const InboxMemo& memo) {
+          return memo.data == inbox.data() && memo.count == inbox.size();
+        });
+    if (it != memos_.end()) {
+      *it = std::move(memos_.back());
+      memos_.pop_back();
+    }
   }
 
   /// Returns the decoded form of `payload`, decoding on first sight and
@@ -79,43 +95,55 @@ class DecodeCache {
   }
 
   /// Memoizes a whole-inbox derived structure (e.g. a label → message
-  /// index) for the round's shared delivery plan. In a crash-free broadcast
-  /// round every recipient receives the identical span and would build an
-  /// identical structure; building it once per round instead of once per
-  /// recipient is the plan-level analogue of decode-once payloads. Returns
-  /// nullptr when `inbox` is not the registered shared span (the caller
+  /// index) for a registered span. Every recipient of that span would
+  /// build an identical structure; building it once per span instead of
+  /// once per recipient is the plan-level analogue of decode-once payloads.
+  /// Returns nullptr when `inbox` is not a registered span (the caller
   /// builds fresh). `build` must be a pure function of the span contents —
   /// the memoized object is then exactly what every recipient would have
   /// built, so sharing it is observation-equivalent.
   template <typename T, typename BuildFn>
-  const T* get_or_build_shared(std::span<const Envelope> inbox,
-                               BuildFn&& build) {
-    if (inbox.data() != shared_data_ || inbox.size() != shared_count_) {
+  const T* get_or_build_memo(std::span<const Envelope> inbox,
+                             BuildFn&& build) {
+    InboxMemo* memo = nullptr;
+    for (InboxMemo& candidate : memos_) {
+      if (candidate.data == inbox.data() && candidate.count == inbox.size()) {
+        memo = &candidate;
+        break;
+      }
+    }
+    if (memo == nullptr) {
       return nullptr;
     }
     const std::type_index key(typeid(T));
-    for (const auto& [type, value] : index_memo_) {
+    for (const auto& [type, value] : memo->by_type) {
       if (type == key) {
         return static_cast<const T*>(value.get());
       }
     }
     auto built = std::make_shared<const T>(build(inbox));
     const T* out = built.get();
-    index_memo_.emplace_back(key, std::move(built));
+    memo->by_type.emplace_back(key, std::move(built));
     return out;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  /// One registered span and its memo entries, keyed by result type (a
+  /// round uses one or two at most — linear scan beats hashing).
+  struct InboxMemo {
+    const Envelope* data = nullptr;
+    std::size_t count = 0;
+    std::vector<std::pair<std::type_index, std::shared_ptr<const void>>>
+        by_type;
+  };
+
   std::unordered_map<const wire::Buffer*, std::shared_ptr<const void>>
       entries_;
-  const Envelope* shared_data_ = nullptr;
-  std::size_t shared_count_ = 0;
-  /// Plan-level memo entries for the shared span, keyed by result type (a
-  /// round uses one or two at most — linear scan beats hashing).
-  std::vector<std::pair<std::type_index, std::shared_ptr<const void>>>
-      index_memo_;
+  /// Registered spans: the shared plan plus the live class inboxes (a
+  /// bounded handful per worker — linear scan again).
+  std::vector<InboxMemo> memos_;
 };
 
 /// Decodes an envelope through its engine's cache when delivered by an
@@ -138,15 +166,16 @@ const T* decode_cached(const Envelope& envelope, T& scratch,
 }
 
 /// Builds (or fetches) a whole-inbox derived structure: memoized once per
-/// round when `inbox` is the engine's shared delivery plan, built into
-/// `scratch` otherwise (custom per-recipient inboxes, engine-less tests).
+/// span when `inbox` is a registered engine span (the shared plan or a
+/// delivery class's inbox), built into `scratch` otherwise (single-recipient
+/// inboxes, engine-less tests).
 template <typename T, typename BuildFn>
 const T* round_index(std::span<const Envelope> inbox, T& scratch,
                      BuildFn&& build) {
   DecodeCache* cache = inbox.empty() ? nullptr : inbox.front().cache;
   if (cache != nullptr) {
-    if (const T* shared = cache->get_or_build_shared<T>(inbox, build)) {
-      return shared;
+    if (const T* memo = cache->get_or_build_memo<T>(inbox, build)) {
+      return memo;
     }
   }
   scratch = build(inbox);

@@ -8,6 +8,12 @@
 
 namespace bil::sim {
 
+namespace {
+/// No (class, key) pair: class ids stay below n, so the high word of a
+/// real pair is never all ones.
+constexpr std::uint64_t kNoRefineKey = ~std::uint64_t{0};
+}  // namespace
+
 RoundNumber RunResult::last_decide_round() const {
   BIL_REQUIRE(completed, "run did not complete");
   RoundNumber latest = 0;
@@ -177,7 +183,7 @@ void Engine::validate_and_index_corruption(const CorruptionPlan& plan) {
     if (rewrite.recipient == kNoProcess) {
       BIL_REQUIRE(index.all_recipients == nullptr,
                   "duplicate all-recipients rewrite for one sender");
-      index.all_recipients = &rewrite.payloads;
+      index.all_recipients = &rewrite;
     } else {
       BIL_REQUIRE(rewrite.recipient < config_.num_processes,
                   "rewrite recipient id out of range");
@@ -185,7 +191,7 @@ void Engine::validate_and_index_corruption(const CorruptionPlan& plan) {
                   "rewrite recipient must differ from the sender: loopback "
                   "does not traverse the wire");
       BIL_REQUIRE(
-          index.per_recipient.emplace(rewrite.recipient, &rewrite.payloads)
+          index.per_recipient.emplace(rewrite.recipient, &rewrite)
               .second,
           "duplicate rewrite for one (sender, recipient) pair");
     }
@@ -213,8 +219,11 @@ void Engine::receive_guarded(WorkerState& ws, ProcessId receiver,
 }
 
 void Engine::send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
-                        RoundNumber round) {
+                        RoundNumber round, RoundNumber record_round) {
   for (std::size_t id = begin; id < end; ++id) {
+    // Clearing every outbox (halted/crashed processes keep theirs empty)
+    // also recycles its payload arena for the new round.
+    outboxes_[id].clear();
     if (status_[id] != Status::kAlive) {
       continue;
     }
@@ -224,16 +233,11 @@ void Engine::send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
     if (config_.trace != nullptr && !outboxes_[pid].empty()) {
       config_.trace->on_send(round, pid, outboxes_[pid].messages().size());
     }
-    note_progress(pid, round);
+    note_progress(pid, record_round);
   }
 }
 
-void Engine::send_phase(RoundNumber round) {
-  // Clear every outbox (halted/crashed processes keep theirs empty); this
-  // also recycles each outbox's payload arena for the new round.
-  for (Outbox& outbox : outboxes_) {
-    outbox.clear();
-  }
+void Engine::send_phase(RoundNumber round, RoundNumber record_round) {
   // Collect this round's messages. Each sender touches only its own process
   // state and its own outbox (with its own payload arena), so the fan-out
   // shards cleanly over the pool; the per-worker send counters are summed
@@ -243,10 +247,10 @@ void Engine::send_phase(RoundNumber round) {
     pool_->parallel_chunks(
         config_.num_processes,
         [&](std::uint32_t chunk, std::size_t begin, std::size_t end) {
-          send_chunk(workers_[chunk], begin, end, round);
+          send_chunk(workers_[chunk], begin, end, round, record_round);
         });
   } else {
-    send_chunk(workers_[0], 0, config_.num_processes, round);
+    send_chunk(workers_[0], 0, config_.num_processes, round, record_round);
   }
   std::uint64_t sends = 0;
   for (WorkerState& ws : workers_) {
@@ -256,132 +260,257 @@ void Engine::send_phase(RoundNumber round) {
   metrics_.record_send(sends);
 }
 
+std::uint32_t Engine::delivery_key(const SpecialSender& sender,
+                                   ProcessId receiver) const {
+  // Keys: 0 = nothing, 1 = the outbox's broadcasts, 2 + receiver = the
+  // broadcasts plus unicasts addressed to this receiver alone, n + 2 + i =
+  // rewrite i of the round's CorruptionPlan.
+  if (sender.crashed && !final_delivery_[sender.id][receiver]) {
+    return 0;
+  }
+  if (sender.rewrites != nullptr && receiver != sender.id) {
+    if (const CorruptionPlan::Rewrite* rewrite =
+            sender.rewrites->for_recipient(receiver)) {
+      if (rewrite->payloads.empty()) {
+        return 0;
+      }
+      return config_.num_processes + 2 +
+             static_cast<std::uint32_t>(
+                 rewrite - corruption_plan_.rewrites().data());
+    }
+  }
+  if (sender.has_unicast && unicast_target_[receiver] != 0) {
+    return 2 + receiver;
+  }
+  for (const OutboundMessage& message : outboxes_[sender.id].messages()) {
+    if (message.broadcast) {
+      return 1;
+    }
+  }
+  return 0;
+}
+
+void Engine::assign_delivery_classes() {
+  // Partition refinement, one special sender at a time: a recipient's class
+  // after sender s is its class before s paired with what s delivers to it.
+  // New ids are handed out in ascending recipient order, and (shared plan,
+  // nothing) keeps id kSharedClass, so class ids are deterministic and
+  // kSharedClass is exactly the recipients with an all-nothing signature.
+  const std::uint32_t n = config_.num_processes;
+  class_of_.assign(n, kSharedClass);
+  num_classes_ = 1;
+  for (const SpecialSender& sender : special_senders_) {
+    if (sender.has_unicast) {
+      unicast_target_.assign(n, 0);
+      for (const OutboundMessage& message :
+           outboxes_[sender.id].messages()) {
+        if (!message.broadcast && message.to < n) {
+          unicast_target_[message.to] = 1;
+        }
+      }
+    }
+    refine_scratch_.clear();
+    refine_scratch_.emplace(std::uint64_t{kSharedClass} << 32, kSharedClass);
+    std::uint32_t next = kSharedClass + 1;
+    // Neighbouring recipients mostly repeat the same (class, key) pair — a
+    // corrupted sender's rewrite reaches everyone but itself — so the last
+    // pair is checked before the hash map.
+    std::uint64_t last_key = kNoRefineKey;
+    std::uint32_t last_class = kSharedClass;
+    for (ProcessId receiver = 0; receiver < n; ++receiver) {
+      if (status_[receiver] != Status::kAlive) {
+        continue;
+      }
+      const std::uint64_t key =
+          (std::uint64_t{class_of_[receiver]} << 32) |
+          delivery_key(sender, receiver);
+      if (key != last_key) {
+        const auto [it, inserted] = refine_scratch_.try_emplace(key, next);
+        next += inserted ? 1 : 0;
+        last_key = key;
+        last_class = it->second;
+      }
+      class_of_[receiver] = last_class;
+    }
+    num_classes_ = next;
+  }
+  // Chain each class's members so a worker knows when a class inbox has
+  // served the last member of its chunk.
+  next_in_class_.assign(n, n);
+  std::vector<std::uint32_t>& following = class_head_scratch_;
+  following.assign(num_classes_, n);
+  for (ProcessId receiver = n; receiver-- > 0;) {
+    if (status_[receiver] != Status::kAlive) {
+      continue;
+    }
+    const std::uint32_t cls = class_of_[receiver];
+    next_in_class_[receiver] = following[cls];
+    following[cls] = receiver;
+  }
+}
+
+void Engine::assemble_inbox(WorkerState& ws,
+                            std::span<const Envelope> shared_view,
+                            ProcessId receiver, ClassInbox& inbox) {
+  // Sender-id order is preserved: a sender is shared xor special, the
+  // shared plan is already ascending, and a special sender's messages keep
+  // their outbox order.
+  inbox.envelopes.clear();
+  std::uint64_t bytes = 0;
+  std::size_t shared_index = 0;
+  for (const SpecialSender& sender : special_senders_) {
+    while (shared_index < shared_view.size() &&
+           shared_view[shared_index].from < sender.id) {
+      const Envelope& envelope = shared_view[shared_index++];
+      bytes += envelope.payload->size();
+      inbox.envelopes.push_back(envelope);
+    }
+    if (sender.crashed && !final_delivery_[sender.id][receiver]) {
+      continue;
+    }
+    if (sender.rewrites != nullptr && receiver != sender.id) {
+      // Byzantine corruption: a per-recipient rewrite wins over the
+      // all-recipients one; either replaces the sender's original outbox
+      // wholesale for this recipient. The sender itself always sees its own
+      // original traffic (loopback does not traverse the wire).
+      if (const CorruptionPlan::Rewrite* rewrite =
+              sender.rewrites->for_recipient(receiver)) {
+        for (const wire::Buffer* payload : rewrite->payloads) {
+          inbox.envelopes.push_back(Envelope{sender.id, payload, &ws.cache});
+          const std::uint64_t size = payload->size();
+          bytes += size;
+          ws.max_payload = std::max(ws.max_payload, size);
+        }
+        continue;
+      }
+    }
+    for (const OutboundMessage& message : outboxes_[sender.id].messages()) {
+      if (message.broadcast || message.to == receiver) {
+        inbox.envelopes.push_back(
+            Envelope{sender.id, message.payload, &ws.cache});
+        const std::uint64_t size = message.payload->size();
+        bytes += size;
+        ws.max_payload = std::max(ws.max_payload, size);
+      }
+    }
+  }
+  while (shared_index < shared_view.size()) {
+    const Envelope& envelope = shared_view[shared_index++];
+    bytes += envelope.payload->size();
+    inbox.envelopes.push_back(envelope);
+  }
+  inbox.bytes = bytes;
+}
+
 void Engine::deliver_chunk(WorkerState& ws,
                            std::span<const Envelope> shared_view,
                            std::size_t begin, std::size_t end,
                            RoundNumber round, RoundNumber record_round) {
+  // Stale buffer addresses from the previous round must never be consulted:
+  // clear the worker's cache before its first lookup against this round's
+  // payloads. The shared plan has a round-stable address; registering it
+  // memoizes whole-inbox indexes once per worker (see
+  // DecodeCache::get_or_build_memo). Both happen here, inside the fan-out,
+  // so freeing last round's entries runs on every worker at once.
+  ws.cache.begin_round();
+  ws.cache.register_inbox(shared_view);
   const bool has_special = !special_senders_.empty();
+  if (has_special) {
+    ws.class_slot.assign(num_classes_, 0);
+  }
   for (std::size_t id = begin; id < end; ++id) {
     const auto receiver = static_cast<ProcessId>(id);
     if (status_[receiver] != Status::kAlive) {
       continue;
     }
-    if (!has_special || custom_recipient_[receiver] == 0) {
+    const std::uint32_t cls =
+        has_special ? class_of_[receiver] : kSharedClass;
+    if (cls == kSharedClass) {
       ++ws.shared_recipients;
       receive_guarded(ws, receiver, shared_view, round, record_round);
       continue;
     }
-    ++ws.custom_recipients;
-    // Merge the shared plan with this recipient's special deliveries.
-    // Sender-id order is preserved: a sender is shared xor special, the
-    // shared plan is already ascending, and a special sender's messages
-    // keep their outbox order.
-    ws.custom_inbox.clear();
-    std::uint64_t row_bytes = 0;
-    std::size_t shared_index = 0;
-    for (std::size_t s = 0; s < special_senders_.size(); ++s) {
-      const ProcessId sender = special_senders_[s];
-      while (shared_index < shared_view.size() &&
-             shared_view[shared_index].from < sender) {
-        const Envelope& envelope = shared_view[shared_index++];
-        row_bytes += envelope.payload->size();
-        ws.custom_inbox.push_back(envelope);
+    ++ws.class_recipients;
+    // The class inbox is assembled once per worker, at its first member in
+    // the chunk, and registered so round_index memoizes one index for all
+    // members; a class with no further member in the chunk (a singleton,
+    // e.g. every recipient of an equivocator) goes through the scratch
+    // arena unregistered.
+    const bool last_in_chunk = next_in_class_[receiver] >= end;
+    std::uint32_t& slot = ws.class_slot[cls];
+    ClassInbox* inbox = nullptr;
+    if (slot != 0) {
+      inbox = &ws.class_inboxes[slot - 1];
+    } else if (last_in_chunk ||
+               (ws.free_class_inboxes.empty() &&
+                ws.class_inboxes.size() == kMaxLiveClasses)) {
+      inbox = &ws.scratch_inbox;
+      assemble_inbox(ws, shared_view, receiver, *inbox);
+    } else {
+      if (ws.free_class_inboxes.empty()) {
+        ws.class_inboxes.reserve(kMaxLiveClasses);
+        ws.free_class_inboxes.push_back(
+            static_cast<std::uint32_t>(ws.class_inboxes.size()));
+        ws.class_inboxes.emplace_back();
       }
-      if (special_sender_crashed_[s] != 0 &&
-          !final_delivery_[sender][receiver]) {
-        continue;
-      }
-      if (!round_rewrites_.empty() && receiver != sender) {
-        // Byzantine corruption: a per-recipient rewrite wins over the
-        // all-recipients one; either replaces the sender's original outbox
-        // wholesale for this recipient. The sender itself always sees its
-        // own original traffic (loopback does not traverse the wire).
-        const auto rewrites = round_rewrites_.find(sender);
-        if (rewrites != round_rewrites_.end()) {
-          const std::vector<const wire::Buffer*>* payloads =
-              rewrites->second.all_recipients;
-          const auto specific = rewrites->second.per_recipient.find(receiver);
-          if (specific != rewrites->second.per_recipient.end()) {
-            payloads = specific->second;
-          }
-          if (payloads != nullptr) {
-            for (const wire::Buffer* payload : *payloads) {
-              ws.custom_inbox.push_back(Envelope{sender, payload, &ws.cache});
-              const std::uint64_t size = payload->size();
-              row_bytes += size;
-              ws.max_payload = std::max(ws.max_payload, size);
-            }
-            continue;
-          }
-        }
-      }
-      for (const OutboundMessage& message : outboxes_[sender].messages()) {
-        if (message.broadcast || message.to == receiver) {
-          ws.custom_inbox.push_back(
-              Envelope{sender, message.payload, &ws.cache});
-          const std::uint64_t size = message.payload->size();
-          row_bytes += size;
-          ws.max_payload = std::max(ws.max_payload, size);
-        }
-      }
+      slot = ws.free_class_inboxes.back() + 1;
+      ws.free_class_inboxes.pop_back();
+      inbox = &ws.class_inboxes[slot - 1];
+      assemble_inbox(ws, shared_view, receiver, *inbox);
+      ws.cache.register_inbox(inbox->envelopes);
     }
-    while (shared_index < shared_view.size()) {
-      const Envelope& envelope = shared_view[shared_index++];
-      row_bytes += envelope.payload->size();
-      ws.custom_inbox.push_back(envelope);
+    ws.deliveries += inbox->envelopes.size();
+    ws.bytes += inbox->bytes;
+    receive_guarded(ws, receiver, inbox->envelopes, round, record_round);
+    if (slot != 0 && last_in_chunk) {
+      // Last member in this chunk: free the memo with the inbox, so memory
+      // tracks live classes, not all classes.
+      ws.cache.release_inbox(inbox->envelopes);
+      ws.free_class_inboxes.push_back(slot - 1);
+      slot = 0;
     }
-    ws.deliveries += ws.custom_inbox.size();
-    ws.bytes += row_bytes;
-    receive_guarded(ws, receiver, ws.custom_inbox, round, record_round);
   }
 }
 
 void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
   const std::uint32_t n = config_.num_processes;
-  const std::size_t active_workers = parallel() ? workers_.size() : 1;
-  // Stale buffer addresses from the previous round must never be consulted:
-  // clear every worker's cache before its first lookup against this round's
-  // payloads.
-  for (std::size_t w = 0; w < active_workers; ++w) {
-    workers_[w].cache.begin_round();
-  }
 
   // Group the outboxes into delivery plans, once per round. A sender is
   // *shared* when its messages reach every alive recipient identically — it
   // is alive (or halted, vacuously: halted outboxes are empty) and sends
-  // only broadcasts. Everything else — unicasts, or a sender crashed *this*
-  // round whose messages reach exactly the adversary-chosen subset — is
-  // *special* and resolved per recipient. Processes crashed in earlier
-  // rounds never reached on_send, so their outboxes are empty and they
-  // appear in neither plan.
+  // only broadcasts. Everything else — unicasts, a sender crashed *this*
+  // round whose messages reach exactly the adversary-chosen subset, or a
+  // corrupted sender — is *special*. Processes crashed in earlier rounds
+  // never reached on_send, so their outboxes are empty and they appear in
+  // neither plan.
   shared_inbox_.clear();
   special_senders_.clear();
-  special_sender_crashed_.clear();
   std::uint64_t shared_bytes = 0;
   std::uint64_t shared_max_payload = 0;
   for (ProcessId sender = 0; sender < n; ++sender) {
     const Outbox& outbox = outboxes_[sender];
-    const bool corrupted =
-        !round_rewrites_.empty() &&
-        round_rewrites_.find(sender) != round_rewrites_.end();
+    const SenderRewrites* rewrites = nullptr;
+    if (!round_rewrites_.empty()) {
+      const auto it = round_rewrites_.find(sender);
+      if (it != round_rewrites_.end()) {
+        rewrites = &it->second;
+      }
+    }
     // A corrupted sender is always special, even with an empty outbox: its
     // rewrites may fabricate traffic the sender never produced.
-    if (outbox.empty() && !corrupted) {
+    if (outbox.empty() && rewrites == nullptr) {
       continue;
     }
     const bool crashed = status_[sender] == Status::kCrashed;
-    bool shared = !crashed && !corrupted;
-    if (shared) {
-      for (const OutboundMessage& message : outbox.messages()) {
-        if (!message.broadcast) {
-          shared = false;
-          break;
-        }
-      }
+    bool has_unicast = false;
+    for (const OutboundMessage& message : outbox.messages()) {
+      has_unicast = has_unicast || !message.broadcast;
     }
-    if (!shared) {
-      special_senders_.push_back(sender);
-      special_sender_crashed_.push_back(crashed ? 1 : 0);
+    if (crashed || rewrites != nullptr || has_unicast) {
+      special_senders_.push_back(SpecialSender{.id = sender,
+                                               .crashed = crashed,
+                                               .has_unicast = has_unicast,
+                                               .rewrites = rewrites});
       continue;
     }
     for (const OutboundMessage& message : outbox.messages()) {
@@ -393,76 +522,31 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
     }
   }
 
-  // The shared plan is the only span with a round-stable address; register
-  // it so whole-inbox indexes built by recipients can be memoized once per
-  // round (see DecodeCache::get_or_build_shared). Workers beyond the first
-  // get their own copy of the plan, restamped with their own cache: the
-  // copies are element-wise identical (an envelope's cache only routes
-  // decoding, it never changes the decoded value), so recipients observe
-  // the same inbox regardless of which worker delivers to them, and each
-  // worker memoizes decodes and shared-plan indexes privately — no lookup
-  // ever crosses a thread.
-  workers_[0].cache.set_shared_inbox(shared_inbox_.data(),
-                                     shared_inbox_.size());
-  for (std::size_t w = 1; w < active_workers; ++w) {
-    WorkerState& ws = workers_[w];
-    ws.shared_inbox.assign(shared_inbox_.begin(), shared_inbox_.end());
-    for (Envelope& envelope : ws.shared_inbox) {
-      envelope.cache = &ws.cache;
-    }
-    ws.cache.set_shared_inbox(ws.shared_inbox.data(), ws.shared_inbox.size());
-  }
-
   if (!special_senders_.empty()) {
-    // Mark the recipients whose inbox differs from the shared plan. A full
-    // (non-crashed) special sender has a unicast mixed into its outbox; its
-    // broadcasts still reach everyone, so everyone becomes custom. A
-    // crashed-this-round sender reaches exactly its delivery mask.
-    custom_recipient_.assign(n, 0);
-    for (ProcessId sender : special_senders_) {
-      if (!round_rewrites_.empty() &&
-          round_rewrites_.find(sender) != round_rewrites_.end()) {
-        // A corrupted sender's traffic is resolved per recipient in the
-        // merge loop (rewrites differ by recipient, and the sender itself
-        // must still see its original loopback), so everyone is custom.
-        for (ProcessId receiver = 0; receiver < n; ++receiver) {
-          custom_recipient_[receiver] = 1;
-        }
-        continue;
-      }
-      const bool crashed = status_[sender] == Status::kCrashed;
-      const std::vector<bool>* mask =
-          crashed ? &final_delivery_[sender] : nullptr;
-      bool broadcast_marked = false;
-      for (const OutboundMessage& message : outboxes_[sender].messages()) {
-        if (message.broadcast) {
-          if (broadcast_marked) {
-            continue;
-          }
-          broadcast_marked = true;
-          for (ProcessId receiver = 0; receiver < n; ++receiver) {
-            if (mask == nullptr || (*mask)[receiver]) {
-              custom_recipient_[receiver] = 1;
-            }
-          }
-        } else if (message.to < n &&
-                   (mask == nullptr || (*mask)[message.to])) {
-          custom_recipient_[message.to] = 1;
-        }
-      }
-    }
+    assign_delivery_classes();
   }
 
   // Recipient fan-out. Each recipient touches only its own process state;
   // the plans, outboxes and status flags are read-only until the join.
+  // Workers beyond the first deliver their own copy of the shared plan,
+  // restamped with their own cache: the copies are element-wise identical
+  // (an envelope's cache only routes decoding, it never changes the decoded
+  // value), so recipients observe the same inbox regardless of which worker
+  // delivers to them, and each worker memoizes decodes and indexes
+  // privately — no lookup ever crosses a thread.
   if (parallel()) {
     pool_->parallel_chunks(
         n, [&](std::uint32_t chunk, std::size_t begin, std::size_t end) {
           WorkerState& ws = workers_[chunk];
-          deliver_chunk(ws,
-                        chunk == 0 ? std::span<const Envelope>(shared_inbox_)
-                                   : std::span<const Envelope>(ws.shared_inbox),
-                        begin, end, round, record_round);
+          if (chunk == 0) {
+            deliver_chunk(ws, shared_inbox_, begin, end, round, record_round);
+            return;
+          }
+          ws.shared_inbox.assign(shared_inbox_.begin(), shared_inbox_.end());
+          for (Envelope& envelope : ws.shared_inbox) {
+            envelope.cache = &ws.cache;
+          }
+          deliver_chunk(ws, ws.shared_inbox, begin, end, round, record_round);
         });
   } else {
     deliver_chunk(workers_[0], shared_inbox_, 0, n, round, record_round);
@@ -473,20 +557,20 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
   // is bit-identical to the per-recipient accounting the serial engine used
   // to do (and to any other fold order).
   std::uint64_t shared_recipients = 0;
-  std::uint64_t custom_recipients = 0;
-  std::uint64_t custom_deliveries = 0;
-  std::uint64_t custom_bytes = 0;
-  std::uint64_t custom_max_payload = 0;
+  std::uint64_t class_recipients = 0;
+  std::uint64_t class_deliveries = 0;
+  std::uint64_t class_bytes = 0;
+  std::uint64_t class_max_payload = 0;
   std::uint64_t malformed = 0;
   for (WorkerState& ws : workers_) {
     shared_recipients += ws.shared_recipients;
-    custom_recipients += ws.custom_recipients;
-    custom_deliveries += ws.deliveries;
-    custom_bytes += ws.bytes;
-    custom_max_payload = std::max(custom_max_payload, ws.max_payload);
+    class_recipients += ws.class_recipients;
+    class_deliveries += ws.deliveries;
+    class_bytes += ws.bytes;
+    class_max_payload = std::max(class_max_payload, ws.max_payload);
     malformed += ws.malformed;
     ws.shared_recipients = 0;
-    ws.custom_recipients = 0;
+    ws.class_recipients = 0;
     ws.deliveries = 0;
     ws.bytes = 0;
     ws.max_payload = 0;
@@ -495,11 +579,11 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
   if (malformed > 0) {
     metrics_.record_malformed(malformed);
   }
-  if (custom_recipients > 0) {
-    metrics_.record_deliveries(custom_deliveries, custom_bytes);
-    metrics_.note_payload(custom_max_payload);
+  if (class_recipients > 0) {
+    metrics_.record_deliveries(class_deliveries, class_bytes);
+    metrics_.note_payload(class_max_payload);
     if (!shared_inbox_.empty()) {
-      // Custom rows embed the full shared plan (their counts and bytes
+      // Class rows embed the full shared plan (their counts and bytes
       // already include it above); the max tracker still needs to see those
       // shared payloads as delivered.
       metrics_.note_payload(shared_max_payload);
@@ -527,7 +611,7 @@ bool Engine::step() {
     config_.trace->on_round_begin(round);
   }
 
-  send_phase(round);
+  send_phase(round, round);
 
   // Adversary phase: the adversary observes all pending messages (hence all
   // coin flips that shaped them) before committing crashes — the strong
@@ -583,24 +667,12 @@ RunResult Engine::run_async() {
   bool capped = false;
 
   while (protocol_running() && now < cap) {
-    // -- Send phase for `round`, at tick `now`, serial in id order --------
+    // -- Send phase for `round`, at tick `now` ----------------------------
+    // Outcomes are recorded on the virtual clock. At this instant the clock
+    // reads `now`, which on the lock-step domain equals `round` — the
+    // bit-identity argument in sim/scheduler.h.
     metrics_.begin_round();
-    for (Outbox& outbox : outboxes_) {
-      outbox.clear();
-    }
-    std::uint64_t sends = 0;
-    for (ProcessId id = 0; id < config_.num_processes; ++id) {
-      if (status_[id] != Status::kAlive) {
-        continue;
-      }
-      processes_[id]->on_send(round, outboxes_[id]);
-      sends += outboxes_[id].messages().size();
-      // Outcomes are recorded on the virtual clock. At this instant the
-      // clock reads `now`, which on the lock-step domain equals `round` —
-      // the bit-identity argument in sim/scheduler.h.
-      note_progress(id, static_cast<RoundNumber>(now));
-    }
-    metrics_.record_send(sends);
+    send_phase(round, static_cast<RoundNumber>(now));
     if (!protocol_running()) {
       break;  // everyone halted in on_send; in-flight batches are moot
     }

@@ -13,7 +13,9 @@
 // transitions (each touches only its own process's state) — the same
 // lock-step structure synchronous renaming protocols exploit. With
 // EngineConfig::num_threads > 1 the engine fans both phases out over a
-// reusable util::ThreadPool; the adversary step between them stays serial.
+// reusable util::ThreadPool, on the lock-step and the asynchronous path
+// alike; the adversary step, the delivery-tick bookkeeping and on_timeout
+// between them stay serial.
 // Every observable (inbox contents and order, outcomes, metrics) is
 // bit-identical for every thread count — see docs/perf.md for the argument
 // and tests/engine_parallel_test.cpp / golden_run_test for the executable
@@ -25,7 +27,14 @@
 // (golden_run_test is the proof); an asynchronous scheduler (bounded-delay,
 // GST) selects run_async(), which advances a virtual clock through a
 // deterministic event queue (sim/event_queue.h) and fires each protocol
-// round when its inbox completes. See docs/architecture.md § scheduler.
+// round when its inbox completes, through the same send and delivery
+// fan-outs. See docs/architecture.md § scheduler.
+//
+// Delivery classes: a round's alive recipients are grouped by what they
+// receive beyond the shared broadcast plan (deliver_round). Each worker
+// assembles one inbox per class and registers it with its DecodeCache, so
+// a crash-subset or Byzantine round builds one inbox and one label index
+// per class instead of one per recipient.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +79,9 @@ struct EngineConfig {
   /// Intra-round executor threads for the send/receive fan-outs: 1 (the
   /// default) runs every phase serially, k > 1 shards processes over k
   /// threads, 0 resolves to one thread per hardware thread. The run's
-  /// result is bit-identical for every value. When a trace sink is attached
-  /// the engine falls back to serial execution regardless (trace events
-  /// must stream in id order), and the asynchronous path is always serial
-  /// (ticks are globally ordered), so thread-width invariance holds there
-  /// trivially.
+  /// result is bit-identical for every value, on the lock-step and the
+  /// asynchronous path. When a trace sink is attached the engine falls back
+  /// to serial execution regardless (trace events must stream in id order).
   std::uint32_t num_threads = 1;
   /// Optional execution trace; not owned, may be null. Must outlive the
   /// engine.
@@ -139,7 +146,7 @@ class Engine {
   /// lock-step fabric with the adversary it carries, bit-identical to the
   /// adversary constructor; an asynchronous scheduler runs the event-queue
   /// path, which is crash-free by contract (the config must carry zero
-  /// crash and Byzantine budgets) and always serial.
+  /// crash and Byzantine budgets).
   Engine(EngineConfig config,
          std::vector<std::unique_ptr<ProcessBase>> processes,
          std::unique_ptr<DeliveryScheduler> scheduler);
@@ -202,6 +209,13 @@ class Engine {
   /// distinct cause.
   enum class Status : std::uint8_t { kAlive, kHalted, kCrashed, kQuarantined };
 
+  /// One assembled delivery-class inbox: the shared plan merged with the
+  /// class's special deliveries, plus its payload bytes.
+  struct ClassInbox {
+    std::vector<Envelope> envelopes;
+    std::uint64_t bytes = 0;
+  };
+
   /// Per-executor-thread state: scratch arenas so workers never share
   /// mutable memory, and metric shards reduced in chunk (= process-id)
   /// order after each fan-out so totals stay bit-identical to a serial run.
@@ -213,16 +227,25 @@ class Engine {
     /// This worker's copy of the round's shared delivery plan (worker 0
     /// borrows the master plan instead; see deliver_round).
     std::vector<Envelope> shared_inbox;
-    /// Assembly arena for one custom recipient's inbox, reused across
-    /// recipients and rounds.
-    std::vector<Envelope> custom_inbox;
+    /// Inboxes of the classes with more members ahead in this worker's
+    /// chunk, registered with `cache` while live. Reserved to
+    /// kMaxLiveClasses up front and never grown past it, so a registered
+    /// arena is never moved.
+    std::vector<ClassInbox> class_inboxes;
+    /// Indexes into class_inboxes free for the next class.
+    std::vector<std::uint32_t> free_class_inboxes;
+    /// Per delivery class: 1 + its class_inboxes index while live, else 0.
+    std::vector<std::uint32_t> class_slot;
+    /// Unregistered assembly arena for a class whose only remaining member
+    /// in the chunk is the current recipient.
+    ClassInbox scratch_inbox;
     // -- metric shard, folded after the fan-out ----------------------------
     std::uint64_t sends = 0;
     std::uint64_t deliveries = 0;
     std::uint64_t bytes = 0;
     std::uint64_t max_payload = 0;
     std::uint64_t shared_recipients = 0;
-    std::uint64_t custom_recipients = 0;
+    std::uint64_t class_recipients = 0;
     /// WireError escapes quarantined in this worker's chunk this round.
     std::uint64_t malformed = 0;
   };
@@ -234,14 +257,48 @@ class Engine {
   struct SenderRewrites {
     /// Fallback for recipients without a per-recipient entry; null = those
     /// recipients see the sender's original outbox.
-    const std::vector<const wire::Buffer*>* all_recipients = nullptr;
-    std::unordered_map<ProcessId, const std::vector<const wire::Buffer*>*>
+    const CorruptionPlan::Rewrite* all_recipients = nullptr;
+    std::unordered_map<ProcessId, const CorruptionPlan::Rewrite*>
         per_recipient;
+
+    /// The rewrite `receiver` gets, or null for the original outbox.
+    [[nodiscard]] const CorruptionPlan::Rewrite* for_recipient(
+        ProcessId receiver) const {
+      const auto specific = per_recipient.find(receiver);
+      return specific != per_recipient.end() ? specific->second
+                                             : all_recipients;
+    }
   };
+
+  /// A sender whose delivery differs between recipients this round:
+  /// crashed this round with a subset mask, corrupted, or sending unicasts.
+  struct SpecialSender {
+    ProcessId id = kNoProcess;
+    /// Crashed this round, snapshotted serially after the adversary phase.
+    /// Workers must not read status_ for foreign ids during the fan-out — a
+    /// recipient halting in on_receive writes its own status_ slot
+    /// concurrently. Crashes cannot happen mid-delivery, so the snapshot
+    /// equals what a live read would return.
+    bool crashed = false;
+    /// Its outbox holds at least one unicast.
+    bool has_unicast = false;
+    /// This round's rewrites of the sender; null when not corrupted.
+    const SenderRewrites* rewrites = nullptr;
+  };
+
+  /// Bound on the class inboxes one worker keeps live at once. A class met
+  /// while the bound is reached is assembled per recipient, like a
+  /// singleton, so memory stays O(kMaxLiveClasses · inbox) whatever the
+  /// number of classes.
+  static constexpr std::uint32_t kMaxLiveClasses = 32;
+  /// The class of every recipient that gets nothing beyond the shared plan.
+  static constexpr std::uint32_t kSharedClass = 0;
 
   void validate_and_apply(const CrashPlan& plan, RoundNumber round);
   void validate_and_index_corruption(const CorruptionPlan& plan);
-  void send_phase(RoundNumber round);
+  /// Collects the round's outboxes. `record_round` is stamped into the
+  /// outcome records like deliver_round's.
+  void send_phase(RoundNumber round, RoundNumber record_round);
   /// Delivers the round's outboxes. `record_round` is the value stamped
   /// into outcome records (decide/halt/quarantine rounds): the round itself
   /// on the lock-step path, the current virtual tick minus one on the
@@ -249,7 +306,19 @@ class Engine {
   /// tick — the bit-identity argument in sim/scheduler.h).
   void deliver_round(RoundNumber round, RoundNumber record_round);
   void send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
-                  RoundNumber round);
+                  RoundNumber round, RoundNumber record_round);
+  /// Partitions the alive recipients into delivery classes: two recipients
+  /// share a class iff every special sender delivers them the same
+  /// envelopes. Serial, between the adversary phase and the fan-out.
+  void assign_delivery_classes();
+  /// What `receiver` gets from `sender` as a small key: equal keys mean
+  /// equal envelopes; 0 means nothing.
+  [[nodiscard]] std::uint32_t delivery_key(const SpecialSender& sender,
+                                           ProcessId receiver) const;
+  /// Merges the shared plan with `receiver`'s special deliveries into
+  /// `inbox`, in sender-id order, stamped with the worker's cache.
+  void assemble_inbox(WorkerState& ws, std::span<const Envelope> shared_view,
+                      ProcessId receiver, ClassInbox& inbox);
   void deliver_chunk(WorkerState& ws, std::span<const Envelope> shared_view,
                      std::size_t begin, std::size_t end, RoundNumber round,
                      RoundNumber record_round);
@@ -261,13 +330,14 @@ class Engine {
   /// The event-driven executor (asynchronous schedulers): advances the
   /// virtual clock through the event queue, fires a protocol round when its
   /// inbox completes, dispatches on_timeout, and enforces max_rounds in
-  /// ticks. Serial by construction.
+  /// ticks. Sends and deliveries go through the same fan-outs as step();
+  /// the delivery-tick bookkeeping and on_timeout stay serial.
   RunResult run_async();
-  /// True when this round's fan-outs go through the pool (num_threads > 1,
-  /// no trace sink attached, and the lock-step path — the async path is
-  /// always serial).
+  /// True when this round's fan-outs go through the pool (num_threads > 1
+  /// and no trace sink attached), on either path: delivery is independent
+  /// per recipient whether the round fires at a lock-step or a virtual tick.
   [[nodiscard]] bool parallel() const noexcept {
-    return pool_ != nullptr && config_.trace == nullptr && !async_;
+    return pool_ != nullptr && config_.trace == nullptr;
   }
 
   EngineConfig config_;
@@ -296,18 +366,21 @@ class Engine {
   /// The envelopes every unexceptional alive recipient receives this round,
   /// in sender-id order — built once, handed to all of them as one span.
   std::vector<Envelope> shared_inbox_;
-  /// Senders needing per-recipient delivery decisions (unicast messages, or
-  /// crashed this round with a subset delivery mask), ascending.
-  std::vector<ProcessId> special_senders_;
-  /// Parallel to special_senders_: crashed-this-round flag, snapshotted
-  /// serially after the adversary phase. Workers must not read status_ for
-  /// foreign ids during the fan-out — a recipient halting in on_receive
-  /// writes its own status_ slot concurrently. Crashes cannot happen
-  /// mid-delivery, so the snapshot equals what a live read would return.
-  std::vector<char> special_sender_crashed_;
-  /// Per-recipient flag: some special sender delivers to this recipient, so
-  /// its inbox differs from the shared plan.
-  std::vector<char> custom_recipient_;
+  /// Senders whose delivery differs between recipients, ascending.
+  std::vector<SpecialSender> special_senders_;
+  /// Delivery class per recipient (kSharedClass for the shared plan),
+  /// meaningful for alive recipients in rounds with special senders.
+  std::vector<std::uint32_t> class_of_;
+  /// The next alive recipient after this one in its class, or n: a worker
+  /// frees a class inbox once no member is left in its chunk.
+  std::vector<std::uint32_t> next_in_class_;
+  std::uint32_t num_classes_ = 1;
+  /// assign_delivery_classes scratch: (class, key) -> refined class, the
+  /// unicast targets of the sender being refined, and each class's first
+  /// member above the recipient being chained.
+  std::unordered_map<std::uint64_t, std::uint32_t> refine_scratch_;
+  std::vector<char> unicast_target_;
+  std::vector<std::uint32_t> class_head_scratch_;
 
   // -- Byzantine corruption (Adversary::corrupt) ---------------------------
   /// This round's rewrite plan; owns the replacement payloads (round-scoped

@@ -168,7 +168,7 @@ void LocalTreeView::remove(Label ball) {
   --alive_count_;
 }
 
-bool LocalTreeView::contains(Label ball) const {
+bool LocalTreeView::slow_contains(Label ball) const {
   const auto it = std::lower_bound(labels_.begin(), labels_.end(), ball);
   return it != labels_.end() && *it == ball &&
          node_of_[static_cast<std::size_t>(it - labels_.begin())] != kNoNode;

@@ -48,7 +48,18 @@ class LocalTreeView {
   /// Removes a ball (Algorithm 1 lines 20 / 27: the ball has crashed).
   void remove(Label ball);
 
-  [[nodiscard]] bool contains(Label ball) const;
+  [[nodiscard]] bool contains(Label ball) const {
+    // Same O(1) fast path as index_of; a dense gapless registry answers
+    // misses too, without the throwing slow path.
+    if (dense_stride_ == 1 && gaps_.empty()) {
+      if (ball < dense_base_ || ball - dense_base_ >= labels_.size()) {
+        return false;
+      }
+      return node_of_[static_cast<std::size_t>(ball - dense_base_)] !=
+             kNoNode;
+    }
+    return slow_contains(ball);
+  }
   [[nodiscard]] NodeId current(Label ball) const {
     const std::size_t slot = index_of(ball);
     BIL_REQUIRE(node_of_[slot] != kNoNode,
@@ -153,6 +164,7 @@ class LocalTreeView {
     return slow_index_of(ball);
   }
   [[nodiscard]] std::size_t slow_index_of(Label ball) const;
+  [[nodiscard]] bool slow_contains(Label ball) const;
   void add_contribution(NodeId node, std::int32_t delta);
   void recompute_density();
 

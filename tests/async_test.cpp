@@ -7,6 +7,7 @@
 // (make_adversary / make_scheduler / fast-sim routing) for the delay kinds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "sim/scheduler.h"
 #include "sim/trace.h"
 #include "util/contract.h"
+#include "util/thread_pool.h"
 #include "wire/wire.h"
 
 namespace bil {
@@ -123,18 +125,23 @@ TEST(AsyncEngine, AsyncRunsAreDeterministic) {
   }
 }
 
-// The async path is always serial (ticks are globally ordered), so any
-// requested engine_threads width must produce the same result — invariance
-// holds trivially, but the plumbing (config validation, pool bypass) must
-// not diverge.
+// Delay rounds fan their sends and deliveries out over the engine's pool
+// like lock-step rounds (only the tick bookkeeping and on_timeout stay
+// serial), so any engine_threads width must produce the same result. At
+// least 4 workers, so the pool runs even on a single-core host.
 TEST(AsyncEngine, ThreadWidthDoesNotChangeAsyncResults) {
-  harness::RunConfig serial = base_config(128, 3);
-  serial.adversary = bounded_delay(4);
-  serial.engine_threads = 1;
-  harness::RunConfig wide = base_config(128, 3);
-  wide.adversary = bounded_delay(4);
-  wide.engine_threads = 0;  // resolves to one thread per hardware thread
-  expect_identical(harness::run_renaming(serial), harness::run_renaming(wide));
+  for (const harness::AdversarySpec& spec :
+       {bounded_delay(4), gst_adversary(8), bounded_delay(6, /*timeout=*/2)}) {
+    harness::RunConfig serial = base_config(128, 3);
+    serial.adversary = spec;
+    serial.engine_threads = 1;
+    harness::RunConfig wide = base_config(128, 3);
+    wide.adversary = spec;
+    wide.engine_threads =
+        std::max(4u, bil::util::ThreadPool::hardware_threads());
+    expect_identical(harness::run_renaming(serial),
+                     harness::run_renaming(wide));
+  }
 }
 
 // ---- tick bounds ------------------------------------------------------------

@@ -12,7 +12,9 @@
 //   * the engine's quarantine backstop — a protocol that lets WireError
 //     escape on_receive is quarantined, counted, and failed by
 //     validate_renaming instead of aborting the run;
-//   * determinism — byte-identical reruns, thread-width invariance.
+//   * determinism — byte-identical reruns, thread-width invariance;
+//   * the leaf-conflict pass in isolation — handcrafted, engine-less inboxes
+//     pin eviction and the unstick rule ball by ball.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,6 +24,7 @@
 
 #include "core/balls_into_leaves.h"
 #include "core/byzantine_adversary.h"
+#include "core/messages.h"
 #include "core/seeds.h"
 #include "harness/runner.h"
 #include "sim/engine.h"
@@ -260,6 +263,94 @@ class FragileProcess final : public sim::ProcessBase {
   bool fragile_;
   std::uint64_t name_;
 };
+
+// -- The leaf-conflict pass, engine-less ---------------------------------------
+
+/// One tolerant BiL process (sender 0, label 100) over a 4-leaf tree, fed
+/// handcrafted inboxes: init from senders 0..3 (label 100 + sender), a path
+/// round in which every ball stays at the root, then a position round in
+/// which sender i claims `positions[i]`. resolve_leaf_conflicts runs at the
+/// end of that round.
+std::unique_ptr<core::BallsIntoLeavesProcess> after_position_round(
+    const std::shared_ptr<const tree::TreeShape>& shape,
+    const std::vector<tree::NodeId>& positions) {
+  auto process = std::make_unique<core::BallsIntoLeavesProcess>(
+      core::BallsIntoLeavesProcess::Options{.num_names = 4,
+                                            .label = 100,
+                                            .seed = 1,
+                                            .shape = shape,
+                                            .tolerate_byzantine = true});
+  const auto deliver = [&](sim::RoundNumber round, auto make_message) {
+    std::vector<wire::Buffer> payloads;
+    for (sim::ProcessId sender = 0; sender < positions.size(); ++sender) {
+      payloads.push_back(core::encode_message(make_message(sender)));
+    }
+    std::vector<sim::Envelope> inbox;
+    for (sim::ProcessId sender = 0; sender < positions.size(); ++sender) {
+      inbox.push_back(sim::Envelope{sender, &payloads[sender], nullptr});
+    }
+    process->on_receive(round, inbox);
+  };
+  const tree::NodeId root = tree::TreeShape::root();
+  deliver(0, [](sim::ProcessId sender) -> core::Message {
+    return core::InitMsg{100 + sender};
+  });
+  deliver(1, [&](sim::ProcessId sender) -> core::Message {
+    return core::PathMsg{100 + sender, root, root};
+  });
+  deliver(2, [&](sim::ProcessId sender) -> core::Message {
+    return core::PositionMsg{100 + sender, positions[sender]};
+  });
+  return process;
+}
+
+TEST(LeafConflicts, StrandedBallUnderFullSubtreeRestartsAtRoot) {
+  const auto shape = tree::TreeShape::make(4);
+  const tree::NodeId inner = shape->left(tree::TreeShape::root());
+  ASSERT_EQ(shape->leaf_count(inner), 2u);
+  // Ball 102 is parked at `inner`, and both leaves below it are taken.
+  const auto process = after_position_round(
+      shape, {shape->leaf_at(0), shape->leaf_at(1), inner, shape->leaf_at(2)});
+  EXPECT_EQ(process->view().current(102), tree::TreeShape::root());
+  EXPECT_EQ(process->view().current(100), shape->leaf_at(0));
+  EXPECT_EQ(process->view().current(101), shape->leaf_at(1));
+  EXPECT_EQ(process->evictions(), 1u);
+}
+
+TEST(LeafConflicts, BallWithAFreeLeafBelowStays) {
+  const auto shape = tree::TreeShape::make(4);
+  const tree::NodeId inner = shape->left(tree::TreeShape::root());
+  // Same ball at `inner`, but leaf 1 below it is free.
+  const auto process = after_position_round(
+      shape, {shape->leaf_at(0), shape->leaf_at(2), inner, shape->leaf_at(3)});
+  EXPECT_EQ(process->view().current(102), inner);
+  EXPECT_EQ(process->evictions(), 0u);
+}
+
+TEST(LeafConflicts, DoublyClaimedLeafKeepsTheLowestLabel) {
+  const auto shape = tree::TreeShape::make(4);
+  // Balls 101 and 103 both claim leaf 2; 103 restarts at the root.
+  const auto process = after_position_round(
+      shape, {shape->leaf_at(0), shape->leaf_at(2), shape->leaf_at(1),
+              shape->leaf_at(2)});
+  EXPECT_EQ(process->view().current(101), shape->leaf_at(2));
+  EXPECT_EQ(process->view().current(103), tree::TreeShape::root());
+  EXPECT_EQ(process->view().current(102), shape->leaf_at(1));
+  EXPECT_EQ(process->evictions(), 1u);
+}
+
+TEST(LeafConflicts, EvictionAndUnstickCountTogether) {
+  const auto shape = tree::TreeShape::make(4);
+  const tree::NodeId inner = shape->right(tree::TreeShape::root());
+  // 100 and 101 collide on leaf 2 (101 evicted); 102 holds leaf 3, so the
+  // right subtree is full under 103, which restarts too.
+  const auto process = after_position_round(
+      shape, {shape->leaf_at(2), shape->leaf_at(2), shape->leaf_at(3), inner});
+  EXPECT_EQ(process->view().current(100), shape->leaf_at(2));
+  EXPECT_EQ(process->view().current(101), tree::TreeShape::root());
+  EXPECT_EQ(process->view().current(103), tree::TreeShape::root());
+  EXPECT_EQ(process->evictions(), 2u);
+}
 
 TEST(Byzantine, WireErrorEscapingOnReceiveQuarantinesTheProcess) {
   std::vector<std::unique_ptr<sim::ProcessBase>> processes;

@@ -1,6 +1,6 @@
 // Unit tests for the synchronous engine: lock-step delivery, crash
-// semantics with adversary-chosen subsets, halting, metrics, and run
-// validation.
+// semantics with adversary-chosen subsets, halting, metrics, run
+// validation, and the decode cache's per-span memo behind delivery classes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/adversaries.h"
+#include "sim/decode_cache.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
 #include "util/contract.h"
@@ -397,6 +398,167 @@ TEST(Trace, CrashEventIncludesSubsetSize) {
   trace.dump(os);
   EXPECT_NE(os.str().find("p2 CRASHES mid-broadcast, delivered to 2"),
             std::string::npos);
+}
+
+// ---- DecodeCache: one whole-inbox memo per registered span --------------
+
+/// A build function that numbers its calls, so tests can tell which build a
+/// memoized value came from.
+struct CountingBuild {
+  int* calls;
+  std::vector<int> operator()(std::span<const Envelope> inbox) const {
+    ++*calls;
+    return {*calls, static_cast<int>(inbox.size())};
+  }
+};
+
+TEST(DecodeCache, RegisteredSpansGetSeparateMemos) {
+  DecodeCache cache;
+  cache.begin_round();
+  const std::vector<Envelope> first(3);
+  const std::vector<Envelope> second(3);
+  cache.register_inbox(first);
+  cache.register_inbox(second);
+  int calls = 0;
+  const auto* a = cache.get_or_build_memo<std::vector<int>>(
+      first, CountingBuild{&calls});
+  const auto* b = cache.get_or_build_memo<std::vector<int>>(
+      second, CountingBuild{&calls});
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ((*a)[0], 1);
+  EXPECT_EQ((*b)[0], 2);
+  // Repeat lookups are served from each span's own memo.
+  EXPECT_EQ(cache.get_or_build_memo<std::vector<int>>(first,
+                                                      CountingBuild{&calls}),
+            a);
+  EXPECT_EQ(cache.get_or_build_memo<std::vector<int>>(second,
+                                                      CountingBuild{&calls}),
+            b);
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(DecodeCache, UnregisteredScratchSpanReturnsNull) {
+  DecodeCache cache;
+  cache.begin_round();
+  const std::vector<Envelope> registered(3);
+  const std::vector<Envelope> scratch(3);
+  cache.register_inbox(registered);
+  int calls = 0;
+  EXPECT_EQ(cache.get_or_build_memo<std::vector<int>>(scratch,
+                                                      CountingBuild{&calls}),
+            nullptr);
+  // A prefix of a registered span is a different inbox, not a hit.
+  EXPECT_EQ(cache.get_or_build_memo<std::vector<int>>(
+                std::span<const Envelope>(registered).first(2),
+                CountingBuild{&calls}),
+            nullptr);
+  EXPECT_EQ(calls, 0);
+  // round_index builds such inboxes fresh into the caller's scratch.
+  std::vector<Envelope> stamped(2);
+  for (Envelope& envelope : stamped) {
+    envelope.cache = &cache;
+  }
+  std::vector<int> local;
+  EXPECT_EQ(round_index(std::span<const Envelope>(stamped), local,
+                        CountingBuild{&calls}),
+            &local);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(DecodeCache, BeginRoundDropsEverything) {
+  DecodeCache cache;
+  cache.begin_round();
+  const std::vector<Envelope> inbox(2);
+  cache.register_inbox(inbox);
+  int calls = 0;
+  ASSERT_NE(cache.get_or_build_memo<std::vector<int>>(inbox,
+                                                      CountingBuild{&calls}),
+            nullptr);
+  const wire::Buffer payload = payload_of(7);
+  ASSERT_NE(cache.get_or_decode<std::uint64_t>(
+                &payload,
+                [](std::span<const std::byte> bytes) {
+                  wire::Reader reader(bytes);
+                  return reader.varint();
+                }),
+            nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  cache.begin_round();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.get_or_build_memo<std::vector<int>>(inbox,
+                                                      CountingBuild{&calls}),
+            nullptr);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(DecodeCache, ReleasedClassMemoIsNotServedAgain) {
+  DecodeCache cache;
+  cache.begin_round();
+  const std::vector<Envelope> arena(4);
+  cache.register_inbox(arena);
+  int calls = 0;
+  const auto* before = cache.get_or_build_memo<std::vector<int>>(
+      arena, CountingBuild{&calls});
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ((*before)[0], 1);
+  cache.release_inbox(arena);
+  EXPECT_EQ(cache.get_or_build_memo<std::vector<int>>(arena,
+                                                      CountingBuild{&calls}),
+            nullptr);
+  // The arena reused at the same address for another class gets a fresh
+  // memo, never the released one's value.
+  cache.register_inbox(arena);
+  const auto* after = cache.get_or_build_memo<std::vector<int>>(
+      arena, CountingBuild{&calls});
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ((*after)[0], 2);
+  EXPECT_EQ(calls, 2);
+}
+
+/// Builds a whole-inbox index through round_index every round and counts
+/// the builds in a counter shared by all processes (serial engine).
+class IndexingProcess final : public ProcessBase {
+ public:
+  IndexingProcess(ProcessId id, int* builds) : id_(id), builds_(builds) {}
+
+  void on_send(RoundNumber /*round*/, Outbox& out) override {
+    out.broadcast(payload_of(id_));
+  }
+  void on_receive(RoundNumber round,
+                  std::span<const Envelope> inbox) override {
+    std::vector<int> scratch;
+    (void)round_index(inbox, scratch, CountingBuild{builds_});
+    if (round == 2) {
+      decide(id_ + 1);
+      halt();
+    }
+  }
+
+ private:
+  ProcessId id_;
+  int* builds_;
+};
+
+TEST(Engine, CrashSubsetRoundBuildsOneIndexPerClass) {
+  // Process 2 crashes in round 1, delivering to {0, 1, 3} only: the round
+  // has two delivery classes — {0, 1, 3} and the shared plan {4, ..., 7} —
+  // so the recipients build two indexes, not one per recipient.
+  constexpr std::uint32_t n = 8;
+  int builds = 0;
+  std::vector<std::unique_ptr<ProcessBase>> processes;
+  for (ProcessId id = 0; id < n; ++id) {
+    processes.push_back(std::make_unique<IndexingProcess>(id, &builds));
+  }
+  Engine engine(EngineConfig{.num_processes = n, .max_crashes = 1},
+                std::move(processes),
+                std::make_unique<ScriptedAdversary>(
+                    2, 1, std::vector<ProcessId>{0, 1, 3}));
+  ASSERT_TRUE(engine.step());
+  EXPECT_EQ(builds, 1);
+  ASSERT_TRUE(engine.step());
+  EXPECT_EQ(builds, 3);
 }
 
 TEST(Adversaries, MakeDeliverySubsetPolicies) {
