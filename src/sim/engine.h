@@ -228,9 +228,9 @@ class Engine {
     /// borrows the master plan instead; see deliver_round).
     std::vector<Envelope> shared_inbox;
     /// Inboxes of the classes with more members ahead in this worker's
-    /// chunk, registered with `cache` while live. Reserved to
-    /// kMaxLiveClasses up front and never grown past it, so a registered
-    /// arena is never moved.
+    /// chunk, registered with `cache` while live. Capacity is reserved to
+    /// kMaxLiveClasses before the first arena is added and never exceeded,
+    /// so adding an arena never moves a registered one.
     std::vector<ClassInbox> class_inboxes;
     /// Indexes into class_inboxes free for the next class.
     std::vector<std::uint32_t> free_class_inboxes;
