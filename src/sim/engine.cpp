@@ -91,6 +91,12 @@ Engine::Engine(EngineConfig config,
     threads = 1;
   }
   workers_.resize(threads);
+  for (WorkerState& ws : workers_) {
+    ws.class_inboxes.resize(kMaxLiveClasses);
+    for (std::uint32_t slot = kMaxLiveClasses; slot-- > 0;) {
+      ws.free_class_inboxes.push_back(slot);
+    }
+  }
   if (threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(threads);
   }
@@ -441,18 +447,10 @@ void Engine::deliver_chunk(WorkerState& ws,
     ClassInbox* inbox = nullptr;
     if (slot != 0) {
       inbox = &ws.class_inboxes[slot - 1];
-    } else if (last_in_chunk ||
-               (ws.free_class_inboxes.empty() &&
-                ws.class_inboxes.size() == kMaxLiveClasses)) {
+    } else if (last_in_chunk || ws.free_class_inboxes.empty()) {
       inbox = &ws.scratch_inbox;
       assemble_inbox(ws, shared_view, receiver, *inbox);
     } else {
-      if (ws.free_class_inboxes.empty()) {
-        ws.class_inboxes.reserve(kMaxLiveClasses);
-        ws.free_class_inboxes.push_back(
-            static_cast<std::uint32_t>(ws.class_inboxes.size()));
-        ws.class_inboxes.emplace_back();
-      }
       slot = ws.free_class_inboxes.back() + 1;
       ws.free_class_inboxes.pop_back();
       inbox = &ws.class_inboxes[slot - 1];

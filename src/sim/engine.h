@@ -227,10 +227,9 @@ class Engine {
     /// This worker's copy of the round's shared delivery plan (worker 0
     /// borrows the master plan instead; see deliver_round).
     std::vector<Envelope> shared_inbox;
-    /// Inboxes of the classes with more members ahead in this worker's
-    /// chunk, registered with `cache` while live. Capacity is reserved to
-    /// kMaxLiveClasses before the first arena is added and never exceeded,
-    /// so adding an arena never moves a registered one.
+    /// kMaxLiveClasses arenas for the inboxes of classes with more members
+    /// ahead in this worker's chunk, registered with `cache` while live.
+    /// Sized once at construction, so a registered arena never moves.
     std::vector<ClassInbox> class_inboxes;
     /// Indexes into class_inboxes free for the next class.
     std::vector<std::uint32_t> free_class_inboxes;
