@@ -16,10 +16,18 @@
 // smallest free names in ascending order, which keeps the live set packed
 // toward small names and makes shrinking the namespace (adaptive sizing,
 // service.h) possible once departures thin out the top of the range.
+//
+// Representation: one bit per name (bit name-1 set = leased) in 64-bit
+// words, a live count, and a hint below which every word is full. acquire()
+// scans free bits upward from the hint with countr_zero, release() clears a
+// bit and lowers the hint, and grow/shrink resize the word vector — so the
+// table allocates only when the namespace grows, and a name costs one bit.
+// Bits above namespace_size() in the last word are always clear and are
+// never handed out.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 namespace bil::service {
@@ -47,25 +55,25 @@ class NameLeaseTable {
   [[nodiscard]] bool try_shrink(std::uint32_t new_size);
 
   [[nodiscard]] std::uint32_t namespace_size() const noexcept { return size_; }
-  [[nodiscard]] std::uint32_t live() const noexcept {
-    return static_cast<std::uint32_t>(leased_.size());
-  }
+  [[nodiscard]] std::uint32_t live() const noexcept { return live_; }
   [[nodiscard]] std::uint32_t free_count() const noexcept {
-    return static_cast<std::uint32_t>(free_.size());
+    return size_ - live_;
   }
   /// Largest currently-leased name (0 when nothing is leased); the bound
   /// adaptive shrinking must respect.
-  [[nodiscard]] std::uint64_t max_leased() const noexcept {
-    return leased_.empty() ? 0 : *leased_.rbegin();
-  }
-  [[nodiscard]] bool is_leased(std::uint64_t name) const {
-    return leased_.count(name) > 0;
+  [[nodiscard]] std::uint64_t max_leased() const noexcept;
+  [[nodiscard]] bool is_leased(std::uint64_t name) const noexcept {
+    return name >= 1 && name <= size_ &&
+           ((words_[(name - 1) / 64] >> ((name - 1) % 64)) & 1U) != 0;
   }
 
  private:
   std::uint32_t size_;
-  std::set<std::uint64_t> free_;
-  std::set<std::uint64_t> leased_;
+  std::uint32_t live_ = 0;
+  /// Every word below this index is fully leased.
+  std::size_t hint_ = 0;
+  /// Bit (name - 1) % 64 of word (name - 1) / 64 is set iff name is leased.
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace bil::service

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <queue>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,7 +88,11 @@ stats::Summary summarize_histogram(const std::vector<std::uint64_t>& counts) {
   return summary;
 }
 
-/// Smallest power of two >= value (value >= 1).
+/// Largest n (and min_namespace) the service accepts: its power-of-two
+/// namespace must still double within 32 bits.
+constexpr std::uint32_t kMaxNamespaceBase = std::uint32_t{1} << 30;
+
+/// Smallest power of two >= value (1 <= value <= kMaxNamespaceBase).
 std::uint32_t pow2_at_least(std::uint32_t value) {
   return is_power_of_two(value) ? value
                                 : std::uint32_t{1} << ceil_log2(value);
@@ -100,15 +103,10 @@ struct PendingClient {
   std::uint32_t arrival_round = 0;
 };
 
-/// Lease expiry queue entry; ordered by (round, client) so ties break on
-/// the deterministic client id, never on heap internals.
+/// A lease that expires in the round of the ring bucket holding it.
 struct Departure {
-  std::uint32_t round = 0;
   std::uint64_t client = 0;
   std::uint64_t name = 0;
-  bool operator>(const Departure& other) const {
-    return round != other.round ? round > other.round : client > other.client;
-  }
 };
 
 }  // namespace
@@ -118,8 +116,13 @@ RenamingService::RenamingService(ServiceConfig config, InstanceRunner runner)
   BIL_REQUIRE(config_.churn.enabled(),
               "RenamingService needs churn.horizon_rounds >= 1");
   BIL_REQUIRE(config_.n >= 1, "service population target must be at least 1");
-  BIL_REQUIRE(config_.min_namespace >= 1,
-              "min_namespace must be at least 1");
+  BIL_REQUIRE(config_.n <= kMaxNamespaceBase,
+              "service population target n = " + std::to_string(config_.n) +
+                  " needs a namespace that cannot double within 32 bits "
+                  "(n must be at most 2^30)");
+  BIL_REQUIRE(config_.min_namespace >= 1 &&
+                  config_.min_namespace <= kMaxNamespaceBase,
+              "min_namespace must be in [1, 2^30]");
   BIL_REQUIRE(config_.grow_percent >= 1 && config_.grow_percent <= 100,
               "grow_percent must be in [1, 100]");
   BIL_REQUIRE(config_.shrink_percent < config_.grow_percent,
@@ -137,9 +140,26 @@ ServiceMetrics RenamingService::run() {
   NameLeaseTable table(
       pow2_at_least(std::max(config_.min_namespace,
                              churn.warm_start ? config_.n : 1U)));
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
-      departures;
-  std::deque<PendingClient> backlog;
+  std::vector<PendingClient> backlog;
+
+  // Departure calendar. A lease lasts 1..2*hold-1 rounds, so every pending
+  // departure is due within the next 2*hold rounds and owns the ring bucket
+  // of its due round; departures due at or past the horizon are never
+  // drained, so they are not stored, and the ring never needs more than
+  // `horizon` buckets. Client ids grow in arrival order and leases start in
+  // that same order (warm seating, then batches commit in backlog order),
+  // so each bucket fills in ascending client id: draining it in append
+  // order is (round, client) order.
+  const auto ring_size = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(2 * std::uint64_t{hold}, horizon));
+  std::vector<std::vector<Departure>> departures(ring_size);
+  const auto schedule_departure = [&](std::uint64_t due, std::uint64_t client,
+                                      std::uint64_t name) {
+    if (due < horizon) {
+      departures[due % ring_size].push_back(
+          Departure{.client = client, .name = name});
+    }
+  };
 
   ServiceMetrics metrics;
   metrics.seed = config_.seed;
@@ -167,9 +187,7 @@ ServiceMetrics RenamingService::run() {
     const std::vector<std::uint64_t> names = table.acquire(config_.n);
     for (std::uint32_t i = 0; i < config_.n; ++i) {
       const std::uint64_t client = next_client++;
-      departures.push(Departure{.round = lease_length(client),
-                                .client = client,
-                                .name = names[i]});
+      schedule_departure(lease_length(client), client, names[i]);
       // Observers see the seating as joins at round 0 so every on_leave has
       // a matching on_join; the metrics still exclude these pre-horizon
       // joins.
@@ -199,9 +217,8 @@ ServiceMetrics RenamingService::run() {
         ++latency_counts[latency];
         ++metrics.joined;
         ++live_clients;
-        departures.push(Departure{.round = round + lease_length(batch[i].id),
-                                  .client = batch[i].id,
-                                  .name = name});
+        schedule_departure(std::uint64_t{round} + lease_length(batch[i].id),
+                           batch[i].id, name);
         if (observer != nullptr) {
           observer->on_join(batch[i].id, name, round);
         }
@@ -214,9 +231,8 @@ ServiceMetrics RenamingService::run() {
     // 2. Departures due this round, then a shrink check: halve the
     // namespace when occupancy dropped below the shrink threshold and every
     // leased (or reserved) name fits in the smaller range.
-    while (!departures.empty() && departures.top().round <= round) {
-      const Departure leave = departures.top();
-      departures.pop();
+    std::vector<Departure>& leaving = departures[round % ring_size];
+    for (const Departure& leave : leaving) {
       table.release(leave.name);
       --live_clients;
       ++metrics.departed;
@@ -224,6 +240,7 @@ ServiceMetrics RenamingService::run() {
         observer->on_leave(leave.client, leave.name, round);
       }
     }
+    leaving.clear();
     while (table.namespace_size() / 2 >= config_.min_namespace &&
            std::uint64_t{table.live()} * 100 <
                std::uint64_t{config_.shrink_percent} * table.namespace_size()) {
@@ -256,6 +273,11 @@ ServiceMetrics RenamingService::run() {
              std::uint64_t{config_.grow_percent} * table.namespace_size() /
                  100) {
         const std::uint32_t old_size = table.namespace_size();
+        BIL_REQUIRE(old_size <= std::numeric_limits<std::uint32_t>::max() / 2,
+                    "a batch of " + std::to_string(k) +
+                        " joiners needs a namespace past " +
+                        std::to_string(old_size) +
+                        " names, which cannot double within 32 bits");
         table.grow(old_size * 2);
         ++metrics.grows;
         if (observer != nullptr) {
@@ -263,8 +285,7 @@ ServiceMetrics RenamingService::run() {
         }
       }
       reserved = table.acquire(k);
-      batch.assign(backlog.begin(), backlog.end());
-      backlog.clear();
+      batch.swap(backlog);  // batch was empty: it is cleared at commit
 
       const std::uint64_t instance_seed = derive_seed(
           config_.seed, core::kSeedDomainServiceInstance, metrics.instances);

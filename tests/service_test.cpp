@@ -15,8 +15,10 @@
 // thread widths and across the engine/fast-sim backends, and ChurnStream
 // is a pure function of (spec, n, seed, round) regardless of query order.
 //
-// Part 3 — NameLeaseTable unit coverage incl. contract violations, and
-// sanity on the chunked Poisson sampler's mean.
+// Part 3 — NameLeaseTable unit coverage incl. contract violations, a
+// differential test of the bitset table against a std::set model, the
+// service's 32-bit namespace limits, and sanity on the chunked Poisson
+// sampler's mean.
 //
 // Part 4 — golden service cells: every ServiceMetrics field plus an FNV-1a
 // hash of the full observer event stream, pinned per cell, so a rewrite of
@@ -26,6 +28,7 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -331,6 +334,160 @@ TEST(NameLeaseTableTest, ContractViolations) {
   EXPECT_THROW(NameLeaseTable(0), ContractViolation);
 }
 
+// The bitset table against a std::set model: a fixed-seed random mix of
+// acquire, release (valid and invalid), grow and try_shrink, with every
+// return value and accessor compared after every op. Start sizes straddle
+// the 64-bit word boundaries, and grow/shrink targets are arbitrary, so
+// partial last words of every fill level occur.
+TEST(NameLeaseTableTest, MatchesSetModelAcrossWordBoundaries) {
+  for (const std::uint32_t initial : {1U, 63U, 64U, 65U, 127U, 129U}) {
+    SCOPED_TRACE("initial size " + std::to_string(initial));
+    NameLeaseTable table(initial);
+    std::uint32_t size = initial;
+    std::set<std::uint64_t> leased;
+    Rng rng(derive_seed(2024, 0, initial));
+
+    for (int op = 0; op < 1500; ++op) {
+      switch (rng.below(5)) {
+        case 0:
+        case 1: {  // acquire: the k smallest free names, ascending
+          const auto free = static_cast<std::uint32_t>(size - leased.size());
+          const auto k = static_cast<std::uint32_t>(
+              rng.below(2) == 0 ? rng.between(0, std::min(free, 3U))
+                                : rng.between(0, free));
+          std::vector<std::uint64_t> expected;
+          for (std::uint64_t name = 1; expected.size() < k; ++name) {
+            if (leased.count(name) == 0) {
+              expected.push_back(name);
+              leased.insert(name);
+            }
+          }
+          const std::vector<std::uint64_t> got = table.acquire(k);
+          ASSERT_EQ(got, expected) << "op " << op;
+          for (const std::uint64_t name : got) {
+            ASSERT_LE(name, table.namespace_size());
+          }
+          EXPECT_THROW((void)table.acquire(free - k + 1), ContractViolation);
+          break;
+        }
+        case 2: {  // release: a leased name, or any name that must throw
+          const std::uint64_t name = rng.between(0, size + 65);
+          if (leased.count(name) > 0) {
+            table.release(name);
+            leased.erase(name);
+          } else {
+            EXPECT_THROW(table.release(name), ContractViolation)
+                << "name " << name << " op " << op;
+          }
+          break;
+        }
+        case 3: {  // grow by up to two words, capped to keep the model small
+          if (size >= 1024) {
+            break;
+          }
+          const auto target =
+              static_cast<std::uint32_t>(size + rng.between(1, 130));
+          table.grow(target);
+          size = target;
+          break;
+        }
+        default: {  // try_shrink to any smaller size
+          if (size == 1) {
+            EXPECT_THROW((void)table.try_shrink(1), ContractViolation);
+            break;
+          }
+          const auto target =
+              static_cast<std::uint32_t>(rng.between(1, size - 1));
+          const bool fits = leased.empty() || *leased.rbegin() <= target;
+          ASSERT_EQ(table.try_shrink(target), fits) << "op " << op;
+          if (fits) {
+            size = target;
+          }
+          break;
+        }
+      }
+
+      ASSERT_EQ(table.namespace_size(), size) << "op " << op;
+      ASSERT_EQ(table.live(), leased.size()) << "op " << op;
+      ASSERT_EQ(table.free_count(), size - leased.size()) << "op " << op;
+      ASSERT_EQ(table.max_leased(), leased.empty() ? 0 : *leased.rbegin())
+          << "op " << op;
+      for (std::uint64_t name = 0; name <= size + 65; ++name) {
+        ASSERT_EQ(table.is_leased(name), leased.count(name) > 0)
+            << "name " << name << " op " << op;
+      }
+    }
+  }
+}
+
+// Names above namespace_size() share the last word with real names when the
+// size is not a multiple of 64; they are never leasable or releasable.
+TEST(NameLeaseTableTest, PartialLastWordStaysClosed) {
+  for (const std::uint32_t size : {1U, 63U, 65U, 127U, 129U, 1000U}) {
+    NameLeaseTable table(size);
+    EXPECT_THROW(table.release(size + 1), ContractViolation);
+    const std::vector<std::uint64_t> all = table.acquire(size);
+    ASSERT_EQ(all.size(), size);
+    EXPECT_EQ(all.back(), size);
+    EXPECT_EQ(table.free_count(), 0u);
+    EXPECT_THROW((void)table.acquire(1), ContractViolation);
+    EXPECT_THROW(table.release(size + 1), ContractViolation);
+    EXPECT_FALSE(table.is_leased(size + 1));
+    EXPECT_EQ(table.max_leased(), size);
+  }
+}
+
+service::InstanceRunner identity_runner() {
+  return [](std::uint32_t participants, std::uint64_t) {
+    service::InstanceOutcome outcome;
+    outcome.rounds = 1;
+    for (std::uint64_t rank = 1; rank <= participants; ++rank) {
+      outcome.ranks.push_back(rank);
+    }
+    return outcome;
+  };
+}
+
+// pow2_at_least(n) and the namespace doublings must stay inside uint32_t:
+// an n whose namespace cannot double is refused up front, naming n.
+TEST(ChurnService, RejectsNamespaceThatCannotDouble) {
+  service::ServiceConfig config;
+  config.churn = make_spec(ChurnProfile::kPoisson, 64);
+  config.n = std::uint32_t{1} << 30;
+  EXPECT_NO_THROW(service::RenamingService(config, identity_runner()));
+  for (const std::uint32_t n :
+       {(std::uint32_t{1} << 30) + 1, (std::uint32_t{1} << 31) + 1,
+        std::numeric_limits<std::uint32_t>::max()}) {
+    config.n = n;
+    try {
+      service::RenamingService service(config, identity_runner());
+      ADD_FAILURE() << "n = " << n << " was accepted";
+    } catch (const ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find(std::to_string(n)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  config.n = 128;
+  config.min_namespace = (std::uint32_t{1} << 30) + 1;
+  EXPECT_THROW(service::RenamingService(config, identity_runner()),
+               ContractViolation);
+}
+
+// A hold far beyond the horizon: no lease can expire in-window, and the
+// departure calendar is sized by the horizon, not by 2 * hold buckets.
+TEST(ChurnService, HugeHoldCompletesInBoundedMemory) {
+  ChurnSpec spec = make_spec(ChurnProfile::kPoisson, 64);
+  spec.hold_rounds = std::uint32_t{1} << 31;
+  LeaseAuditor auditor;
+  const ServiceMetrics metrics = api::run_churn_cell(
+      make_cell(128, api::BackendKind::kFastSim), spec, 1, 1, &auditor);
+  EXPECT_GT(metrics.joined, 0u);
+  EXPECT_EQ(metrics.departed, 0u);
+  EXPECT_EQ(auditor.leaves(), 0u);
+  EXPECT_EQ(metrics.live_final, 128 + metrics.joined);
+}
+
 TEST(PoissonSamplerTest, MatchesMeanForSmallAndChunkedLambda) {
   for (const double lambda : {0.5, 4.0, 100.0}) {
     Rng rng(12345);
@@ -428,9 +585,11 @@ struct GoldenServiceCell {
   std::uint64_t events_hash;
 };
 
-// Captured from the std::set / priority_queue driver this suite was written
-// against. n = 1000 is not a multiple of 64, so the lease table's last word
-// is partial; hold = 1 makes every lease one round long.
+// Captured from the std::set lease table and priority-queue departure heap
+// the driver used before its bitset table and departure calendar; those
+// must reproduce every value. n = 1000 is not a multiple of 64, so the lease
+// table's last word is partial; hold = 1 makes every lease one round long
+// and the calendar two buckets wide.
 constexpr GoldenServiceCell kGoldenServiceCells[] = {
     {"poisson_n128_seed1", ChurnProfile::kPoisson,
      128, 1, 0, 512, true, false,
