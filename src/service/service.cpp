@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -273,11 +272,6 @@ ServiceMetrics RenamingService::run() {
              std::uint64_t{config_.grow_percent} * table.namespace_size() /
                  100) {
         const std::uint32_t old_size = table.namespace_size();
-        BIL_REQUIRE(old_size <= std::numeric_limits<std::uint32_t>::max() / 2,
-                    "a batch of " + std::to_string(k) +
-                        " joiners needs a namespace past " +
-                        std::to_string(old_size) +
-                        " names, which cannot double within 32 bits");
         table.grow(old_size * 2);
         ++metrics.grows;
         if (observer != nullptr) {

@@ -77,6 +77,8 @@ class ServiceObserver {
 struct ServiceConfig {
   ChurnSpec churn;
   /// Target steady-state population (the n of "renaming at scale n").
+  /// At most 2^30, like min_namespace, so the power-of-two namespace can
+  /// still double within 32 bits.
   std::uint32_t n = 0;
   std::uint64_t seed = 1;
   /// The namespace never shrinks below this.
