@@ -145,6 +145,22 @@ std::vector<GoldenCell> golden_grid() {
       }
     }
   }
+  // The timeout path: late rounds fire ProcessBase::on_timeout, which lets
+  // a BiL ball parked at a leaf decide early.
+  for (std::uint32_t n : kSizes) {
+    for (std::uint64_t seed : kSeeds) {
+      AdversarySpec bounded = fault_spec_for(AdversaryKind::kBoundedDelay, n);
+      bounded.delay = {.max_delay = 6, .timeout = 2};
+      AdversarySpec gst = fault_spec_for(AdversaryKind::kGst, n);
+      gst.delay.timeout = 2;
+      for (const AdversarySpec& spec : {bounded, gst}) {
+        grid.push_back(GoldenCell{.algorithm = Algorithm::kBallsIntoLeaves,
+                                  .adversary = spec,
+                                  .n = n,
+                                  .seed = seed});
+      }
+    }
+  }
   return grid;
 }
 
@@ -184,6 +200,14 @@ std::string describe(const GoldenCell& cell) {
   if (cell.adversary.byzantine > 0) {
     text += " f=";
     text += std::to_string(cell.adversary.byzantine);
+  }
+  if (is_delay_kind(cell.adversary.kind)) {
+    text += " d=";
+    text += std::to_string(cell.adversary.delay.max_delay);
+    text += " gst=";
+    text += std::to_string(cell.adversary.delay.gst);
+    text += " timeout=";
+    text += std::to_string(cell.adversary.delay.timeout);
   }
   text += ") / ";
   text += core::to_string(cell.termination);

@@ -11,6 +11,8 @@
 // delay (bounded-delay, GST) cells joined later, captured from the engine
 // that still delivered every fault round per recipient and ran delay rounds
 // serially, before inbox classes and the pooled async path replaced both.
+// The timeout cells were captured from the event-queue executor before the
+// delay path was folded into the lock-step round loop.
 //
 // To re-capture after an intentional semantic change:
 //   $ cmake --build build --target golden_gen
@@ -66,6 +68,27 @@ TEST(GoldenRuns, EveryCellIsBitIdentical) { expect_grid_matches(1); }
 TEST(GoldenRuns, EveryCellIsBitIdenticalWithMaxEngineThreads) {
   expect_grid_matches(
       std::max(4u, bil::util::ThreadPool::hardware_threads()));
+}
+
+// The timeout cells pin ProcessBase::on_timeout only if it moves the
+// outcome: at least one of them must finish in a different number of
+// rounds than the same cell with timeouts disabled.
+TEST(GoldenRuns, TimeoutCellsPinAnOutcomeTheTimeoutChanges) {
+  std::size_t timeout_cells = 0;
+  std::size_t changed = 0;
+  for (const GoldenCell& cell : golden_grid()) {
+    if (cell.adversary.delay.timeout == 0) {
+      continue;
+    }
+    ++timeout_cells;
+    GoldenCell untimed = cell;
+    untimed.adversary.delay.timeout = 0;
+    if (run_golden_cell(untimed).rounds != run_golden_cell(cell).rounds) {
+      ++changed;
+    }
+  }
+  EXPECT_EQ(timeout_cells, 8u);
+  EXPECT_GT(changed, 0u);
 }
 
 // ---- Two-choice allocator golden cells --------------------------------------
