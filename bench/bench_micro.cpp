@@ -220,12 +220,11 @@ void emit_targeted_row(std::FILE* out, harness::AdversaryKind kind,
       static_cast<double>(rounds) / elapsed.count(), last ? "" : ",");
 }
 
-/// One row of the `async_overhead` series: the event-queue scheduler in
-/// lockstep mode (bounded delay d = 1 — bit-identical results, zero
-/// scheduling randomness) against the legacy synchronous loop on the same
-/// seeds. The ratio is the pure cost of virtual time: event-queue pushes
-/// and pops, batch bookkeeping, and the serial (non-pooled) delivery
-/// fan-out the async path mandates.
+/// One row of the `async_overhead` series: the bounded-delay scheduler in
+/// lockstep mode (d = 1 — bit-identical results, zero scheduling
+/// randomness) against the synchronous scheduler on the same seeds. Both
+/// run the same Engine::step(), so the ratio is the cost of the delay
+/// scheduler's own deliver_at calls and should stay near 1.
 void emit_async_row(std::FILE* out, std::uint32_t n, std::uint32_t runs,
                     bool last) {
   const auto measure = [&](bool async) {

@@ -158,7 +158,7 @@ std::string fast_sim_incompatibility(const CellConfig& cell) {
     if (info.fault_model == "delay") {
       return "fast-sim cannot replay adversary '" + info.name +
              "': delay scheduling is an engine concept — the adversary "
-             "assumes the DeliveryScheduler role on the event-queue path, "
+             "assumes the DeliveryScheduler role in the engine's round loop, "
              "and the single-view symbolic execution has no virtual clock — "
              "use --backend engine";
     }

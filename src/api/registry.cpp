@@ -219,9 +219,9 @@ std::vector<AdversaryInfo> build_adversary_registry() {
        }});
   // Delay (timing) kinds: the adversary assumes the DeliveryScheduler role
   // (sim/scheduler.h) and attacks when batches arrive instead of crashing
-  // or corrupting. Async-only: they exist only on the engine's event-queue
-  // path, so fast_sim_capable is false by construction (the single-view
-  // simulator has no virtual clock — see fast_sim_incompatibility).
+  // or corrupting. Async-only: they exist only on the engine, so
+  // fast_sim_capable is false by construction (the single-view simulator
+  // has no virtual clock — see fast_sim_incompatibility).
   entries.push_back(
       {.kind = AdversaryKind::kBoundedDelay,
        .name = harness::to_string(AdversaryKind::kBoundedDelay),

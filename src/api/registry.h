@@ -81,9 +81,9 @@ struct AdversaryInfo {
   /// results.
   std::string fault_model = "crash";
   /// Timing model the strategy runs under: "sync" (the lock-step engine
-  /// fabric — every kind that existed before the event-driven executor) or
+  /// fabric — every kind that existed before delay scheduling) or
   /// "async-only" (the delay kinds: they *are* the DeliveryScheduler, so
-  /// they only exist on the engine's event-queue path). Shown as the
+  /// they only exist on the engine). Shown as the
   /// `timing` column of --list-adversaries.
   std::string timing = "sync";
   /// True when the crash-capable fast simulator can replay this strategy

@@ -136,8 +136,8 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
   /// argument as TerminationMode::kEagerLeaf — once at a leaf a ball never
   /// moves and no peer can displace it (Theorem 1) — so it decides now
   /// instead of waiting out the delay, and keeps participating until the
-  /// global halt condition. Sound only because the asynchronous path is
-  /// crash- and Byzantine-free (no evictions can revoke a leaf).
+  /// global halt condition. Sound only because delay runs are crash- and
+  /// Byzantine-free (no evictions can revoke a leaf).
   void on_timeout(sim::RoundNumber round) override;
 
   // -- Introspection (tests, adversaries, instrumentation) -----------------

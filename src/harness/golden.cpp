@@ -131,8 +131,8 @@ std::vector<GoldenCell> golden_grid() {
       }
     }
   }
-  // Byzantine validation (tolerate_byzantine) and the event-driven delay
-  // path: BiL only, since the baselines reject Byzantine budgets.
+  // Byzantine validation (tolerate_byzantine) and delay scheduling: BiL
+  // only, since the baselines reject Byzantine budgets.
   for (std::uint32_t n : kSizes) {
     for (std::uint64_t seed : kSeeds) {
       for (AdversaryKind kind :

@@ -257,7 +257,7 @@ std::unique_ptr<sim::DeliveryScheduler> make_scheduler(
   }
   BIL_REQUIRE(spec.crashes == 0 && spec.byzantine == 0,
               "delay adversaries schedule message delivery, not failures: "
-              "the event-driven path runs crash-free — drop the "
+              "delay runs are crash-free — drop the "
               "crash/Byzantine budgets or use a synchronous adversary kind");
   const std::uint64_t seed = derive_seed(run_seed, core::kSeedDomainDelay, 0);
   if (spec.kind == AdversaryKind::kBoundedDelay) {

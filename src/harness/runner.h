@@ -66,9 +66,9 @@ enum class AdversaryKind : std::uint8_t {
   kByzantineEquivocator,
   // -- Delay (timing) kinds: the adversary assumes the DeliveryScheduler
   // role (sim/scheduler.h) and attacks *when* messages arrive instead of
-  // crashing or corrupting. Async-only — they run the engine's event-driven
-  // path, which is crash-free by contract (make_scheduler rejects mixing a
-  // delay kind with crash or Byzantine budgets).
+  // crashing or corrupting. Async-only and crash-free by contract
+  // (make_scheduler rejects mixing a delay kind with crash or Byzantine
+  // budgets).
   /// sim::BoundedDelayScheduler — every batch delayed uniformly in
   /// [1, delay.max_delay] ticks. max_delay = 1 is bit-identical to the
   /// synchronous run.
@@ -182,8 +182,8 @@ struct RunSummary {
     const AdversarySpec& spec, std::uint32_t n, std::uint64_t run_seed,
     const std::shared_ptr<const tree::TreeShape>& shape = nullptr);
 
-/// True for the timing kinds (kBoundedDelay / kGst) that run the engine's
-/// event-driven path instead of carrying a crash/corruption adversary.
+/// True for the timing kinds (kBoundedDelay / kGst) that schedule delivery
+/// ticks instead of carrying a crash/corruption adversary.
 [[nodiscard]] bool is_delay_kind(AdversaryKind kind) noexcept;
 
 /// Builds the sim::DeliveryScheduler a run with this spec executes under —
@@ -191,9 +191,8 @@ struct RunSummary {
 /// delay scheduler, seeded from derive_seed(run_seed, kSeedDomainDelay, 0)
 /// (their own domain: a delay schedule never perturbs crash schedules or
 /// process coins); every other kind is wrapped in a SynchronousScheduler
-/// around make_adversary, so the lock-step fabric runs exactly as before.
-/// Rejects a delay kind combined with crash or Byzantine budgets (the
-/// event-driven path is crash-free by contract).
+/// around make_adversary. Rejects a delay kind combined with crash or
+/// Byzantine budgets (delay runs are crash-free by contract).
 [[nodiscard]] std::unique_ptr<sim::DeliveryScheduler> make_scheduler(
     const AdversarySpec& spec, std::uint32_t n, std::uint64_t run_seed,
     const std::shared_ptr<const tree::TreeShape>& shape = nullptr);

@@ -1112,7 +1112,7 @@ PresetSpec ci_preset() {
 
   // Reduced async cells: the d = 1 bounded-delay series must match the
   // lock-step `balls-into-leaves` series above exactly (same grid, same
-  // seeds — the event-queue executor in lockstep mode), and a small
+  // seeds — delay scheduling in lockstep mode), and a small
   // partial-synchrony cell keeps the GST recovery bound under the drift
   // gate every push.
   SeriesSpec async_lockstep;

@@ -42,11 +42,11 @@ Engine::Engine(EngineConfig config,
       scheduler_(std::move(scheduler)) {
   BIL_REQUIRE(scheduler_ != nullptr, "need a delivery scheduler");
   adversary_ = scheduler_->adversary();
-  async_ = !scheduler_->synchronous();
-  if (async_) {
-    // The event-driven path is crash-free by contract: a delay scheduler
-    // attacks timing, not processes (sim/scheduler.h). Rejecting the
-    // budgets here keeps the contract from silently decaying.
+  if (!scheduler_->synchronous()) {
+    // Delay schedulers are crash-free by contract: they attack timing, not
+    // processes (sim/scheduler.h), and BiL's on_timeout decision is sound
+    // only without crashes. Rejecting the budgets here keeps the contract
+    // from silently decaying.
     BIL_REQUIRE(config_.max_crashes == 0,
                 "asynchronous schedulers are crash-free: combine delays "
                 "with a zero crash budget");
@@ -56,9 +56,6 @@ Engine::Engine(EngineConfig config,
     BIL_REQUIRE(adversary_ == nullptr,
                 "asynchronous schedulers must not carry a crash/corruption "
                 "adversary");
-    BIL_REQUIRE(config_.trace == nullptr,
-                "the event-driven path does not stream round traces yet; "
-                "drop the trace sink or use a synchronous scheduler");
   }
   BIL_REQUIRE(config_.num_processes >= 1, "need at least one process");
   BIL_REQUIRE(processes_.size() == config_.num_processes,
@@ -599,17 +596,37 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
 }
 
 bool Engine::step() {
-  BIL_REQUIRE(!async_,
-              "step() is the lock-step entry point; asynchronous schedulers "
-              "run through run()");
   BIL_REQUIRE(protocol_running(), "step() called on a finished run");
-  const RoundNumber round = next_round_++;
+  // max_rounds caps virtual-time ticks: one synchronous round is one tick,
+  // so the default 16·n + 64 keeps its meaning on the lock-step domain
+  // while also bounding starved delay schedules.
+  const VirtualTime cap = config_.max_rounds;
+  const VirtualTime now = next_round_;
+  BIL_REQUIRE(now < cap, "step() called past the round cap");
+  const RoundNumber round = protocol_round_++;
   metrics_.begin_round();
   if (config_.trace != nullptr) {
     config_.trace->on_round_begin(round);
   }
 
-  send_phase(round, round);
+  send_phase(round, next_round_);
+
+  // The round completes when its last (sender, round) batch arrives; an
+  // all-silent round still takes one tick. Batches are asked for in id
+  // order, so a randomized scheduler draws its delays in a fixed order.
+  VirtualTime complete = now + 1;
+  for (ProcessId id = 0; id < config_.num_processes; ++id) {
+    if (outboxes_[id].empty()) {
+      continue;
+    }
+    const VirtualTime at = scheduler_->deliver_at(SendBatch{
+        id, round, now,
+        static_cast<std::uint32_t>(outboxes_[id].messages().size())});
+    BIL_REQUIRE(at > now,
+                "scheduler violated the progress contract: a batch must be "
+                "delivered strictly after it was sent");
+    complete = std::max(complete, at);
+  }
 
   // Adversary phase: the adversary observes all pending messages (hence all
   // coin flips that shaped them) before committing crashes — the strong
@@ -636,102 +653,37 @@ bool Engine::step() {
     validate_and_index_corruption(corruption_plan_);
   }
 
-  deliver_round(round, round);
+  // A round still incomplete `timeout` ticks after its sends times out:
+  // the hook fires once, in id order, at tick now + timeout — before the
+  // cap check, so a round that then starves past the cap still times out.
+  // The differences cannot wrap, unlike now + timeout.
+  const VirtualTime timeout = scheduler_->timeout_ticks();
+  if (timeout > 0 && complete - now > timeout && timeout < cap - now) {
+    for (ProcessId id = 0; id < config_.num_processes; ++id) {
+      if (status_[id] != Status::kAlive) {
+        continue;
+      }
+      processes_[id]->on_timeout(round);
+      note_progress(id, static_cast<RoundNumber>(now + timeout));
+    }
+  }
+  if (complete > cap) {
+    // Starved delivery: the round cannot complete within the cap. End
+    // cleanly (completed = false).
+    next_round_ = config_.max_rounds;
+    return protocol_running();
+  }
+
+  // Receive outcomes are recorded on the tick before completion, which is
+  // the round itself under lock-step timing.
+  deliver_round(round, static_cast<RoundNumber>(complete - 1));
+  next_round_ = static_cast<RoundNumber>(complete);
   return protocol_running();
 }
 
 RunResult Engine::run() {
-  if (async_) {
-    return run_async();
-  }
   while (protocol_running() && next_round_ < config_.max_rounds) {
     step();
-  }
-  return result();
-}
-
-RunResult Engine::run_async() {
-  BIL_REQUIRE(next_round_ == 0, "run() called on a started run");
-  // max_rounds is enforced in virtual-time ticks here (see EngineConfig):
-  // one synchronous round is one tick, so the default 16·n + 64 keeps its
-  // meaning on the lock-step domain while also bounding starved schedules.
-  const VirtualTime cap = config_.max_rounds;
-  const VirtualTime timeout = scheduler_->timeout_ticks();
-  EventQueue queue;
-  std::uint64_t seq = 0;
-
-  VirtualTime now = 0;      // current virtual tick
-  RoundNumber round = 0;    // protocol round currently being collected
-  bool capped = false;
-
-  while (protocol_running() && now < cap) {
-    // -- Send phase for `round`, at tick `now` ----------------------------
-    // Outcomes are recorded on the virtual clock. At this instant the clock
-    // reads `now`, which on the lock-step domain equals `round` — the
-    // bit-identity argument in sim/scheduler.h.
-    metrics_.begin_round();
-    send_phase(round, static_cast<RoundNumber>(now));
-    if (!protocol_running()) {
-      break;  // everyone halted in on_send; in-flight batches are moot
-    }
-
-    // -- Ask the scheduler when each (sender, round) batch arrives --------
-    for (ProcessId id = 0; id < config_.num_processes; ++id) {
-      if (outboxes_[id].empty()) {
-        continue;
-      }
-      const SendBatch batch{
-          id, round, now,
-          static_cast<std::uint32_t>(outboxes_[id].messages().size())};
-      const VirtualTime at = scheduler_->deliver_at(batch);
-      BIL_REQUIRE(at > now,
-                  "scheduler violated the progress contract: a batch must "
-                  "be delivered strictly after it was sent");
-      queue.push(DeliveryEvent{at, id, seq++, round});
-    }
-
-    // -- Drain this round's events in (time, sender, seq) order -----------
-    // The round's inbox is complete once its last batch has arrived; the
-    // batch-granular delay model keeps rounds globally serialized (a
-    // process's next send waits for the same completion), so every event in
-    // the queue belongs to `round` and payload handles stay outbox-scoped
-    // exactly as in the lock-step engine.
-    VirtualTime complete = now + 1;  // an all-silent round still advances
-    bool timed_out = false;
-    while (!queue.empty()) {
-      const DeliveryEvent event = queue.pop();
-      BIL_REQUIRE(event.round == round, "event from a foreign round");
-      if (timeout > 0 && !timed_out && event.time > now + timeout &&
-          now + timeout < cap) {
-        // The waiting processes time out before the next arrival: fire the
-        // hook once for this round, at tick now + timeout, in id order.
-        timed_out = true;
-        for (ProcessId id = 0; id < config_.num_processes; ++id) {
-          if (status_[id] != Status::kAlive) {
-            continue;
-          }
-          processes_[id]->on_timeout(round);
-          note_progress(id, static_cast<RoundNumber>(now + timeout));
-        }
-      }
-      if (event.time > cap) {
-        // Starved delivery: the batch would arrive beyond the tick cap, so
-        // the round can never complete. End cleanly (completed = false).
-        capped = true;
-        break;
-      }
-      complete = event.time;
-    }
-    if (capped) {
-      next_round_ = config_.max_rounds;
-      break;
-    }
-
-    // -- Fire the round at its completion tick ----------------------------
-    now = complete;
-    deliver_round(round, static_cast<RoundNumber>(now - 1));
-    next_round_ = static_cast<RoundNumber>(now);
-    ++round;
   }
   return result();
 }

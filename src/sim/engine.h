@@ -13,22 +13,21 @@
 // transitions (each touches only its own process's state) — the same
 // lock-step structure synchronous renaming protocols exploit. With
 // EngineConfig::num_threads > 1 the engine fans both phases out over a
-// reusable util::ThreadPool, on the lock-step and the asynchronous path
-// alike; the adversary step, the delivery-tick bookkeeping and on_timeout
-// between them stay serial.
+// reusable util::ThreadPool under every scheduler; the adversary step, the
+// delivery-tick bookkeeping and on_timeout between them stay serial.
 // Every observable (inbox contents and order, outcomes, metrics) is
 // bit-identical for every thread count — see docs/perf.md for the argument
 // and tests/engine_parallel_test.cpp / golden_run_test for the executable
 // form.
 //
-// Event-driven execution: the engine is parameterized by a
-// sim::DeliveryScheduler (sim/scheduler.h). A synchronous scheduler selects
-// the lock-step fabric above, bit-identical to the pre-scheduler engine
-// (golden_run_test is the proof); an asynchronous scheduler (bounded-delay,
-// GST) selects run_async(), which advances a virtual clock through a
-// deterministic event queue (sim/event_queue.h) and fires each protocol
-// round when its inbox completes, through the same send and delivery
-// fan-outs. See docs/architecture.md § scheduler.
+// Delivery timing: the engine is parameterized by a sim::DeliveryScheduler
+// (sim/scheduler.h) and runs every round through step() under every
+// scheduler. step() keeps two counters, the protocol round and the virtual
+// tick. After the sends it asks the scheduler for each non-empty outbox's
+// delivery tick; the round completes at the latest of them, and the tick
+// jumps there. Lock-step timing delivers every batch one tick after it is
+// sent, so the two counters stay equal; a delay scheduler (bounded-delay,
+// GST) lets the tick run ahead. See docs/architecture.md § scheduler.
 //
 // Delivery classes: a round's alive recipients are grouped by what they
 // receive beyond the shared broadcast plan (deliver_round). Each worker
@@ -45,7 +44,6 @@
 
 #include "sim/adversary.h"
 #include "sim/decode_cache.h"
-#include "sim/event_queue.h"
 #include "sim/scheduler.h"
 #include "sim/metrics.h"
 #include "sim/process.h"
@@ -71,17 +69,17 @@ struct EngineConfig {
   std::uint32_t max_byzantine = 0;
   /// Safety cap; 0 selects the documented default 16·n + 64, far above the
   /// deterministic O(n)-round termination bound (paper Lemma 11), so
-  /// hitting the cap means a bug, not bad luck. Synchronous runs count it
-  /// in rounds; asynchronous runs enforce it in virtual-time *ticks*, so a
-  /// scheduler that starves delivery (delays a batch past the cap) ends the
-  /// run cleanly with completed = false instead of looping forever.
+  /// hitting the cap means a bug, not bad luck. It caps virtual-time
+  /// *ticks*, which equal rounds under lock-step timing, so a scheduler
+  /// that starves delivery (delays a batch past the cap) ends the run
+  /// cleanly with completed = false instead of looping forever.
   RoundNumber max_rounds = 0;
   /// Intra-round executor threads for the send/receive fan-outs: 1 (the
   /// default) runs every phase serially, k > 1 shards processes over k
   /// threads, 0 resolves to one thread per hardware thread. The run's
-  /// result is bit-identical for every value, on the lock-step and the
-  /// asynchronous path. When a trace sink is attached the engine falls back
-  /// to serial execution regardless (trace events must stream in id order).
+  /// result is bit-identical for every value, under every scheduler. When
+  /// a trace sink is attached the engine falls back to serial execution
+  /// regardless (trace events must stream in id order).
   std::uint32_t num_threads = 1;
   /// Optional execution trace; not owned, may be null. Must outlive the
   /// engine.
@@ -141,12 +139,11 @@ class Engine {
          std::vector<std::unique_ptr<ProcessBase>> processes,
          std::unique_ptr<Adversary> adversary);
 
-  /// Event-driven form: the scheduler decides when every message batch is
-  /// delivered (sim/scheduler.h). A synchronous scheduler runs the
-  /// lock-step fabric with the adversary it carries, bit-identical to the
-  /// adversary constructor; an asynchronous scheduler runs the event-queue
-  /// path, which is crash-free by contract (the config must carry zero
-  /// crash and Byzantine budgets).
+  /// Scheduler form: the scheduler decides when every message batch is
+  /// delivered (sim/scheduler.h). A synchronous scheduler carries the
+  /// crash/corruption adversary and is bit-identical to the adversary
+  /// constructor; any other scheduler is crash-free by contract (the config
+  /// must carry zero crash and Byzantine budgets).
   Engine(EngineConfig config,
          std::vector<std::unique_ptr<ProcessBase>> processes,
          std::unique_ptr<DeliveryScheduler> scheduler);
@@ -161,18 +158,18 @@ class Engine {
       : Engine(std::move(config), std::move(processes),
                std::unique_ptr<Adversary>()) {}
 
-  /// Executes one lock-step round. Returns true while at least one process
-  /// is still alive and not halted (i.e., the protocol is still running).
-  /// Requires a synchronous scheduler; asynchronous runs go through run().
+  /// Executes one protocol round and advances the clock to its completion
+  /// tick, or to the max_rounds cap if delivery starves past it. Returns
+  /// true while at least one process is still alive and not halted (i.e.,
+  /// the protocol is still running). Requires rounds_executed() <
+  /// max_rounds.
   bool step();
 
-  /// Runs the protocol to completion or to the max_rounds cap (rounds for
-  /// a synchronous scheduler, virtual-time ticks for an asynchronous one).
+  /// Steps until the protocol finishes or the clock reaches max_rounds.
   RunResult run();
 
-  /// Rounds executed so far under a synchronous scheduler; virtual-time
-  /// ticks elapsed under an asynchronous one (one synchronous round = one
-  /// tick, so the two scales agree on the lock-step domain).
+  /// Virtual-time ticks elapsed: the rounds executed under lock-step
+  /// timing, where every round takes one tick.
   [[nodiscard]] RoundNumber rounds_executed() const noexcept {
     return next_round_;
   }
@@ -296,13 +293,11 @@ class Engine {
   void validate_and_apply(const CrashPlan& plan, RoundNumber round);
   void validate_and_index_corruption(const CorruptionPlan& plan);
   /// Collects the round's outboxes. `record_round` is stamped into the
-  /// outcome records like deliver_round's.
+  /// outcome records like deliver_round's: the send tick.
   void send_phase(RoundNumber round, RoundNumber record_round);
   /// Delivers the round's outboxes. `record_round` is the value stamped
-  /// into outcome records (decide/halt/quarantine rounds): the round itself
-  /// on the lock-step path, the current virtual tick minus one on the
-  /// asynchronous path (so the two scales agree when every delay is one
-  /// tick — the bit-identity argument in sim/scheduler.h).
+  /// into outcome records (decide/halt/quarantine rounds): the completion
+  /// tick minus one, which is the round itself under lock-step timing.
   void deliver_round(RoundNumber round, RoundNumber record_round);
   void send_chunk(WorkerState& ws, std::size_t begin, std::size_t end,
                   RoundNumber round, RoundNumber record_round);
@@ -326,15 +321,8 @@ class Engine {
                        RoundNumber record_round);
   void note_progress(ProcessId id, RoundNumber round);
   [[nodiscard]] bool protocol_running() const;
-  /// The event-driven executor (asynchronous schedulers): advances the
-  /// virtual clock through the event queue, fires a protocol round when its
-  /// inbox completes, dispatches on_timeout, and enforces max_rounds in
-  /// ticks. Sends and deliveries go through the same fan-outs as step();
-  /// the delivery-tick bookkeeping and on_timeout stay serial.
-  RunResult run_async();
   /// True when this round's fan-outs go through the pool (num_threads > 1
-  /// and no trace sink attached), on either path: delivery is independent
-  /// per recipient whether the round fires at a lock-step or a virtual tick.
+  /// and no trace sink attached).
   [[nodiscard]] bool parallel() const noexcept {
     return pool_ != nullptr && config_.trace == nullptr;
   }
@@ -344,11 +332,8 @@ class Engine {
   /// The delivery policy; owns the crash/corruption adversary when
   /// synchronous. Never null.
   std::unique_ptr<DeliveryScheduler> scheduler_;
-  /// Borrowed from scheduler_ (null for asynchronous schedulers — the
-  /// event-driven path is crash-free by contract).
+  /// Borrowed from scheduler_ (null for the crash-free delay schedulers).
   Adversary* adversary_ = nullptr;
-  /// Cached !scheduler_->synchronous().
-  bool async_ = false;
 
   std::vector<Status> status_;
   std::vector<ProcessOutcome> outcomes_;
@@ -398,6 +383,9 @@ class Engine {
   std::unique_ptr<util::ThreadPool> pool_;
 
   Metrics metrics_;
+  /// The next protocol round.
+  RoundNumber protocol_round_ = 0;
+  /// The virtual tick at which the next round sends.
   RoundNumber next_round_ = 0;
   std::uint32_t crashes_so_far_ = 0;
   std::uint32_t byzantine_so_far_ = 0;

@@ -48,10 +48,12 @@ class ProcessBase {
   virtual void on_receive(RoundNumber round,
                           std::span<const Envelope> inbox) = 0;
 
-  /// Asynchronous-executor hook (see sim/scheduler.h): fired once per round
-  /// when the process has waited DelaySpec::timeout ticks for round `round`'s
-  /// inbox to complete. Default: do nothing — synchronous runs never wait
-  /// longer than one tick, so lock-step behaviour is unchanged. An override
+  /// Delay-scheduler hook (see sim/scheduler.h): fired once per round, on
+  /// every alive process in id order, when round `round`'s inbox is still
+  /// incomplete DelaySpec::timeout ticks after its sends. Engine::step()
+  /// fires it between the sends and the delivery, also in a round that
+  /// then starves past the tick cap. Default: do nothing — lock-step rounds
+  /// complete in one tick, so lock-step behaviour is unchanged. An override
   /// may decide() early (timeout-based early termination) but must keep
   /// participating: the late messages are still in flight and will be
   /// delivered.

@@ -1,12 +1,14 @@
 // The delivery scheduler: the adversary role generalized from "who crashes"
 // to "when does each message arrive".
 //
-// The lock-step engine hard-coded one scheduling policy — every message sent
-// in round r is delivered at the start of round r's receive phase. The
-// event-driven executor factors that policy out: a DeliveryScheduler assigns
-// every (sender, round) message batch a delivery tick on the virtual clock
-// (sim/event_queue.h), and the engine fires a protocol round as soon as its
-// inbox is complete. The scheduler *is* the timing adversary.
+// A DeliveryScheduler assigns every (sender, round) message batch a
+// delivery tick on a virtual clock. Engine::step() asks for each non-empty
+// outbox's tick, in sender-id order, right after the sends; the round's
+// inbox completes at the largest of them (one tick later for a silent
+// round), and the clock jumps there. Delays are per batch and rounds stay
+// globally serialized — a process's next send waits for the same
+// completion — so that maximum is the only number a round needs. The
+// scheduler *is* the timing adversary.
 //
 // Contract (checked by the engine):
 //   * Progress: deliver_at(batch) > batch.send_tick — delivery takes at
@@ -14,40 +16,41 @@
 //   * Fairness / eventual delivery: every batch gets a finite delivery tick;
 //     a scheduler cannot drop messages, only delay them. A scheduler that
 //     starves delivery anyway (delays past EngineConfig::max_rounds, which
-//     the async path enforces in ticks) ends the run at the cap with
-//     completed = false — it cannot loop the engine forever.
+//     caps ticks) ends the run at the cap with completed = false — it
+//     cannot loop the engine forever.
 //   * Determinism: deliver_at must be a pure function of (construction
 //     arguments, batches seen so far). All randomness comes from a generator
 //     seeded at construction (kSeedDomainDelay), so delay schedules never
 //     perturb process coin flips or crash schedules.
 //
 // The synchronous model is the special case deliver_at = send_tick + 1
-// (SynchronousScheduler). It also carries the legacy crash/corruption
-// Adversary object: when the engine sees synchronous() it runs the original
-// round-batched fabric with that adversary — bit-identical to the
-// pre-refactor engine, because lock-step scheduling makes the event-queue
-// plan and the batched round plan the same plan (every round-r batch arrives
-// at the same tick, in sender order — exactly what deliver_round built).
-// The delay schedulers run the genuinely event-driven path, which is
-// crash-free by contract: delay adversaries attack timing, not processes
-// (harness::make_scheduler rejects mixing a delay kind with crash or
-// Byzantine budgets).
+// (SynchronousScheduler): every round completes one tick after it starts,
+// so ticks and rounds coincide. It also carries the crash/corruption
+// Adversary. The delay schedulers are crash-free by contract: delay
+// adversaries attack timing, not processes (harness::make_scheduler rejects
+// mixing a delay kind with crash or Byzantine budgets, and the engine
+// rejects the budgets for any non-synchronous scheduler).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "sim/adversary.h"
-#include "sim/event_queue.h"
+#include "sim/types.h"
 #include "util/rng.h"
 
 namespace bil::sim {
 
+/// Virtual clock value in ticks. Tick 0 is the instant every process emits
+/// its round-0 messages; a synchronous round occupies exactly one tick
+/// (every batch sent at tick T is delivered at T + 1).
+using VirtualTime = std::uint64_t;
+
 /// Numeric knobs for the delay schedulers, carried by
 /// harness::AdversarySpec::delay and api::ExperimentSpec::delay. The
 /// defaults describe lock-step timing (max_delay = 1, no timeouts), so a
-/// default-constructed DelaySpec through the event queue reproduces the
-/// synchronous schedule tick for tick.
+/// default-constructed DelaySpec reproduces the synchronous schedule tick
+/// for tick.
 struct DelaySpec {
   /// Bounded-delay bound d: each batch's delay is drawn uniformly from
   /// [1, d] ticks. d = 1 is special-cased to consume no randomness at all,
@@ -59,11 +62,12 @@ struct DelaySpec {
   /// tick >= gst are delivered in exactly one tick (synchrony holds from
   /// GST on); earlier batches get the bounded [1, max_delay] treatment.
   VirtualTime gst = 0;
-  /// Timeout in ticks (0 = disabled): when a process has waited this many
-  /// ticks for its next round's inbox to complete, the engine fires
+  /// Timeout in ticks (0 = disabled): when a round's inbox is still
+  /// incomplete this many ticks after its sends, the engine fires
   /// ProcessBase::on_timeout once for the waiting round — the hook
   /// timeout-based early termination (core::BallsIntoLeavesProcess) hangs
-  /// off.
+  /// off. Any value past the tick cap, up to the type's maximum, never
+  /// fires.
   VirtualTime timeout = 0;
 
   bool operator==(const DelaySpec&) const = default;
@@ -77,8 +81,8 @@ struct SendBatch {
   std::uint32_t num_messages = 0;
 };
 
-/// The role the adversary assumes in the event-driven executor. See the
-/// file comment for the progress/fairness/determinism contract.
+/// The role the adversary assumes over delivery timing. See the file
+/// comment for the progress/fairness/determinism contract.
 class DeliveryScheduler {
  public:
   DeliveryScheduler() = default;
@@ -86,15 +90,14 @@ class DeliveryScheduler {
   DeliveryScheduler& operator=(const DeliveryScheduler&) = delete;
   virtual ~DeliveryScheduler();
 
-  /// True = lock-step timing: the engine runs the original round-batched
-  /// synchronous fabric (with this scheduler's adversary()) instead of the
-  /// event queue. This is an identity-preserving fast path, not a semantic
-  /// switch — see the file comment.
+  /// True = lock-step timing, which may carry a crash/corruption
+  /// adversary(). The engine rejects crash and Byzantine budgets for any
+  /// other scheduler; it runs the same round loop either way.
   [[nodiscard]] virtual bool synchronous() const noexcept { return false; }
 
   /// The crash/corruption adversary this scheduler carries; null for the
-  /// delay schedulers (the async path is crash-free by contract). Borrowed,
-  /// owned by the scheduler.
+  /// delay schedulers (crash-free by contract). Borrowed, owned by the
+  /// scheduler.
   [[nodiscard]] virtual Adversary* adversary() noexcept { return nullptr; }
 
   /// Assigns the delivery tick for `batch`. Must satisfy the progress
@@ -109,8 +112,7 @@ class DeliveryScheduler {
 };
 
 /// Lock-step timing: every batch is delivered one tick after it is sent.
-/// Carries the legacy Adversary (may be null = failure-free); the engine's
-/// synchronous fast path consumes it exactly as the pre-refactor engine did.
+/// Carries the crash/corruption Adversary (may be null = failure-free).
 class SynchronousScheduler final : public DeliveryScheduler {
  public:
   explicit SynchronousScheduler(std::unique_ptr<Adversary> adversary)

@@ -1,14 +1,15 @@
-// Tests for the event-driven asynchronous executor (sim/event_queue.h,
-// sim/scheduler.h, Engine::run_async): deterministic event ordering,
+// Tests for delay scheduling (sim/scheduler.h through Engine::step()):
 // bit-identity of the d = 1 bounded-delay schedule with the lock-step
 // engine, thread-width invariance, tick bounds under bounded delay and
-// partial synchrony (GST), timeout-based early termination, the clean
-// capped exit under a starved delivery schedule, and the layer diagnostics
+// partial synchrony (GST), timeout-based early termination and its
+// overflow-free "never" setting, the clean capped exit under a starved
+// delivery schedule, tracing on delay runs, and the layer diagnostics
 // (make_adversary / make_scheduler / fast-sim routing) for the delay kinds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "harness/runner.h"
 #include "search/contract.h"
 #include "sim/engine.h"
-#include "sim/event_queue.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
 #include "util/contract.h"
@@ -27,24 +27,6 @@
 
 namespace bil {
 namespace {
-
-// ---- event queue ------------------------------------------------------------
-
-TEST(EventQueue, PopsByTimeThenSenderThenSeq) {
-  sim::EventQueue queue;
-  queue.push({.time = 5, .sender = 2, .seq = 9, .round = 0});
-  queue.push({.time = 3, .sender = 7, .seq = 8, .round = 0});
-  queue.push({.time = 5, .sender = 2, .seq = 4, .round = 0});
-  queue.push({.time = 5, .sender = 0, .seq = 6, .round = 0});
-  queue.push({.time = 3, .sender = 1, .seq = 7, .round = 0});
-
-  std::vector<std::uint64_t> seqs;
-  while (!queue.empty()) {
-    seqs.push_back(queue.pop().seq);
-  }
-  // (3,1,7) (3,7,8) (5,0,6) (5,2,4) (5,2,9)
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{7, 8, 6, 4, 9}));
-}
 
 // ---- helpers ----------------------------------------------------------------
 
@@ -90,7 +72,7 @@ void expect_identical(const harness::RunSummary& a,
 
 // d = 1 delivers every batch exactly one tick after the send — the
 // synchronous schedule — and consumes no scheduling randomness, so the
-// event-queue executor must reproduce the lock-step engine's full result:
+// delay run must reproduce the lock-step engine's full result:
 // same rounds, same traffic, same names, same per-ball decide rounds.
 TEST(AsyncEngine, BoundedDelayOneIsBitIdenticalToSynchronous) {
   for (std::uint64_t seed : {1u, 7u, 23u}) {
@@ -204,6 +186,20 @@ TEST(AsyncEngine, TimeoutDecidesLeafBallsEarly) {
   }
 }
 
+// A timeout no round can reach must never fire, even at the type's
+// maximum, where now + timeout would wrap.
+TEST(AsyncEngine, MaximalTimeoutNeverFires) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    harness::RunConfig plain = base_config(128, seed);
+    plain.adversary = bounded_delay(6);
+    harness::RunConfig never = base_config(128, seed);
+    never.adversary =
+        bounded_delay(6, std::numeric_limits<sim::VirtualTime>::max());
+    expect_identical(harness::run_renaming(plain),
+                     harness::run_renaming(never));
+  }
+}
+
 // ---- round cap under starvation ----------------------------------------------
 
 /// A scheduler that starves delivery: every batch is pushed far beyond any
@@ -211,14 +207,22 @@ TEST(AsyncEngine, TimeoutDecidesLeafBallsEarly) {
 /// with completed = false — not loop, not throw.
 class StarvingScheduler final : public sim::DeliveryScheduler {
  public:
+  explicit StarvingScheduler(sim::VirtualTime timeout) : timeout_(timeout) {}
+
   [[nodiscard]] sim::VirtualTime deliver_at(
       const sim::SendBatch& batch) override {
     return batch.send_tick + 1000000;
   }
+  [[nodiscard]] sim::VirtualTime timeout_ticks() const noexcept override {
+    return timeout_;
+  }
+
+ private:
+  sim::VirtualTime timeout_;
 };
 
 /// Broadcasts every round and never halts on its own — keeps the protocol
-/// running so only the cap can end it.
+/// running so only the cap can end it. Counts its on_timeout calls.
 class ChattyProcess final : public sim::ProcessBase {
  public:
   void on_send(sim::RoundNumber /*round*/, sim::Outbox& out) override {
@@ -228,28 +232,41 @@ class ChattyProcess final : public sim::ProcessBase {
   }
   void on_receive(sim::RoundNumber /*round*/,
                   std::span<const sim::Envelope> /*inbox*/) override {}
+  void on_timeout(sim::RoundNumber /*round*/) override { ++timeouts; }
+
+  int timeouts = 0;
 };
 
+// The timeout check runs before the cap check, so a round that starves
+// past the cap still times out first — exactly once.
 TEST(AsyncEngine, StarvedDeliveryHitsTickCapCleanly) {
   constexpr std::uint32_t kN = 4;
-  std::vector<std::unique_ptr<sim::ProcessBase>> processes;
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    processes.push_back(std::make_unique<ChattyProcess>());
+  for (const sim::VirtualTime timeout : {0u, 5u}) {
+    std::vector<std::unique_ptr<sim::ProcessBase>> processes;
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      processes.push_back(std::make_unique<ChattyProcess>());
+    }
+    sim::Engine engine(sim::EngineConfig{.num_processes = kN},
+                       std::move(processes),
+                       std::make_unique<StarvingScheduler>(timeout));
+    const sim::RunResult result = engine.run();
+    EXPECT_FALSE(result.completed);
+    // max_rounds = 0 resolves to the documented default 16n + 64, enforced
+    // in virtual-time ticks.
+    EXPECT_EQ(result.rounds, 16 * kN + 64);
+    for (sim::ProcessId id = 0; id < kN; ++id) {
+      EXPECT_EQ(
+          dynamic_cast<const ChattyProcess&>(engine.process(id)).timeouts,
+          timeout > 0 ? 1 : 0)
+          << "timeout=" << timeout << " process " << id;
+    }
   }
-  sim::Engine engine(sim::EngineConfig{.num_processes = kN},
-                     std::move(processes),
-                     std::make_unique<StarvingScheduler>());
-  const sim::RunResult result = engine.run();
-  EXPECT_FALSE(result.completed);
-  // max_rounds = 0 resolves to the documented default 16n + 64, enforced in
-  // virtual-time ticks on the async path.
-  EXPECT_EQ(result.rounds, 16 * kN + 64);
 }
 
 // ---- layer contracts and diagnostics ----------------------------------------
 
-// Delay adversaries assume the DeliveryScheduler role; the event-driven
-// path is crash-free by contract, so combining a delay kind with a crash or
+// Delay adversaries assume the DeliveryScheduler role; delay runs are
+// crash-free by contract, so combining a delay kind with a crash or
 // Byzantine budget must fail loudly at scheduler construction.
 TEST(AsyncLayers, MakeSchedulerRejectsFailureBudgets) {
   harness::AdversarySpec crashing = bounded_delay(4);
@@ -268,14 +285,23 @@ TEST(AsyncLayers, MakeAdversaryRejectsDelayKinds) {
                ContractViolation);
 }
 
-// The trace sink records the lock-step schedule; the async path has no
-// trace hook, and must say so rather than silently dropping events.
-TEST(AsyncLayers, TraceIsRejectedOnTheAsyncPath) {
-  sim::TextTrace trace;
-  harness::RunConfig config = base_config(16, 1);
-  config.adversary = bounded_delay(4);
-  config.trace = &trace;
-  EXPECT_THROW((void)harness::run_renaming(config), ContractViolation);
+// Delay rounds run through the same step() as lock-step rounds, trace
+// hooks included: a traced delay run changes nothing, and it begins one
+// trace round per protocol round, not per tick.
+TEST(AsyncLayers, TracedDelayRunMatchesTheUntracedRun) {
+  harness::RunConfig plain = base_config(16, 1);
+  plain.adversary = bounded_delay(4);
+  const harness::RunSummary untraced = harness::run_renaming(plain);
+
+  sim::CountingTrace trace;
+  harness::RunConfig traced_config = plain;
+  traced_config.trace = &trace;
+  const harness::RunSummary traced = harness::run_renaming(traced_config);
+
+  expect_identical(untraced, traced);
+  EXPECT_EQ(trace.rounds, traced.raw.metrics.per_round.size());
+  EXPECT_LT(trace.rounds, traced.raw.rounds);
+  EXPECT_EQ(trace.decisions, 16u);
 }
 
 // Registry metadata: the delay kinds are async-only and engine-only, and

@@ -401,10 +401,6 @@ int main(int argc, char** argv) {
 
     const api::SweepRunner runner(spec);
     if (trace) {
-      BIL_REQUIRE(!harness::is_delay_kind(spec.adversaries.front().kind),
-                  "--trace records the lock-step delivery schedule; the "
-                  "delay adversaries run the event-queue path, which has no "
-                  "trace hook — drop --trace");
       traced_run(runner.cells().front(), seed_base);
       return 0;
     }
