@@ -597,10 +597,7 @@ void Engine::deliver_round(RoundNumber round, RoundNumber record_round) {
 
 bool Engine::step() {
   BIL_REQUIRE(protocol_running(), "step() called on a finished run");
-  // max_rounds caps virtual-time ticks: one synchronous round is one tick,
-  // so the default 16·n + 64 keeps its meaning on the lock-step domain
-  // while also bounding starved delay schedules.
-  const VirtualTime cap = config_.max_rounds;
+  const VirtualTime cap = config_.max_rounds;  // in ticks (EngineConfig)
   const VirtualTime now = next_round_;
   BIL_REQUIRE(now < cap, "step() called past the round cap");
   const RoundNumber round = protocol_round_++;

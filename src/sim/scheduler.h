@@ -66,8 +66,8 @@ struct DelaySpec {
   /// incomplete this many ticks after its sends, the engine fires
   /// ProcessBase::on_timeout once for the waiting round — the hook
   /// timeout-based early termination (core::BallsIntoLeavesProcess) hangs
-  /// off. Any value past the tick cap, up to the type's maximum, never
-  /// fires.
+  /// off. A timeout at or beyond the tick cap never fires, up to the
+  /// type's maximum.
   VirtualTime timeout = 0;
 
   bool operator==(const DelaySpec&) const = default;
