@@ -16,16 +16,30 @@
 // Round complexity: exactly t+1 rounds, independent of the actual number of
 // failures — the Θ(n) flavour of wait-freedom (t = n-1) the paper contrasts
 // with its own O(log log n) bound.
+//
+// Cost: every recipient of one inbox would compute the same union of the
+// labels it carries, so inbox_union builds it once per delivery span
+// through sim::round_index — once for a round's shared plan, once per
+// delivery class under crash subsets. Each process then merges that one
+// sorted span into `known_`, a sorted duplicate-free vector: O(n) work per
+// process per round, on top of one O(n²) union per span.
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
+#include <vector>
 
 #include "sim/process.h"
 #include "sim/types.h"
 
 namespace bil::baselines {
+
+/// The sorted, duplicate-free union of the labels carried by every
+/// well-formed gossip payload in `inbox`; malformed payloads are skipped,
+/// as a silent sender. Payloads need not be sorted. Decodes through
+/// sim::decode_cached, so each broadcast buffer is parsed once per round.
+[[nodiscard]] std::vector<sim::Label> inbox_union(
+    std::span<const sim::Envelope> inbox);
 
 class GossipRenamingProcess final : public sim::ProcessBase {
  public:
@@ -43,13 +57,10 @@ class GossipRenamingProcess final : public sim::ProcessBase {
   void on_receive(sim::RoundNumber round,
                   std::span<const sim::Envelope> inbox) override;
 
-  [[nodiscard]] const std::set<sim::Label>& known() const noexcept {
-    return known_;
-  }
-
  private:
   Options options_;
-  std::set<sim::Label> known_;
+  /// Every label heard of so far, sorted and duplicate-free.
+  std::vector<sim::Label> known_;
 };
 
 }  // namespace bil::baselines

@@ -2,14 +2,19 @@
 // balls-into-bins renaming, and the Moir–Anderson splitter network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <random>
 #include <set>
 #include <vector>
 
+#include "baselines/gossip.h"
 #include "baselines/splitter_net.h"
 #include "baselines/two_choice.h"
 #include "harness/runner.h"
 #include "sim/adversaries.h"
 #include "util/contract.h"
+#include "wire/wire.h"
 
 namespace bil {
 namespace {
@@ -90,6 +95,97 @@ TEST(Gossip, SurvivesAdaptiveChainedCrashes) {
     const auto summary = harness::run_renaming(config);
     EXPECT_TRUE(summary.completed) << "seed=" << seed;
   }
+}
+
+/// One handcrafted gossip payload and what a decoder must make of it.
+struct GossipPayload {
+  wire::Buffer bytes;
+  bool well_formed = true;
+  std::vector<sim::Label> labels;  // as encoded, in wire order
+};
+
+/// Draws a payload of one of six kinds: sorted and duplicate-free (what an
+/// honest sender encodes), unsorted with duplicates, an empty sequence,
+/// truncated, well-formed with a trailing byte, or no bytes at all. The
+/// last three are malformed: the decoder throws WireError, and the labels
+/// a malformed payload's valid prefix carries must not be heard.
+GossipPayload random_gossip_payload(std::mt19937_64& rng) {
+  GossipPayload payload;
+  const auto kind = rng() % 6;
+  if (kind != 2) {
+    const auto count = 1 + rng() % 6;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      payload.labels.push_back(rng() % 40);  // small range: many repeats
+    }
+    if (kind == 0) {
+      std::sort(payload.labels.begin(), payload.labels.end());
+      payload.labels.erase(
+          std::unique(payload.labels.begin(), payload.labels.end()),
+          payload.labels.end());
+    }
+  }
+  wire::Writer writer;
+  writer.seq(payload.labels,
+             [](wire::Writer& w, sim::Label label) { w.varint(label); });
+  payload.bytes = std::move(writer).take();
+  if (kind == 3) {
+    payload.bytes.pop_back();  // the count now exceeds what remains
+    payload.well_formed = false;
+  } else if (kind == 4) {
+    payload.bytes.push_back(std::byte{0});
+    payload.well_formed = false;
+  } else if (kind == 5) {
+    payload.bytes.clear();
+    payload.well_formed = false;
+  }
+  return payload;
+}
+
+TEST(Gossip, InboxUnionMatchesASetModelOnHandcraftedInboxes) {
+  // Engine-less envelopes (cache == nullptr) take round_index's scratch
+  // path, which the golden grid reaches only through singleton delivery
+  // classes. The model is the flooding rule itself: a std::set of every
+  // label of every well-formed payload, the own label included; the
+  // decision is the own label's rank in it.
+  std::mt19937_64 rng(16);
+  int malformed_seen = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const sim::Label own = rng() % 40;
+    const auto rounds = static_cast<std::uint32_t>(1 + rng() % 4);
+    baselines::GossipRenamingProcess process(
+        {.label = own, .max_crashes = rounds - 1});
+    std::set<sim::Label> model = {own};
+    for (sim::RoundNumber round = 0; round < rounds; ++round) {
+      std::vector<GossipPayload> payloads(rng() % 7);  // 0 = empty inbox
+      for (GossipPayload& payload : payloads) {
+        payload = random_gossip_payload(rng);
+      }
+      std::vector<sim::Envelope> inbox;
+      std::set<sim::Label> heard;
+      for (std::size_t sender = 0; sender < payloads.size(); ++sender) {
+        inbox.push_back(sim::Envelope{static_cast<sim::ProcessId>(sender),
+                                      &payloads[sender].bytes, nullptr});
+        if (payloads[sender].well_formed) {
+          heard.insert(payloads[sender].labels.begin(),
+                       payloads[sender].labels.end());
+        } else {
+          ++malformed_seen;
+        }
+      }
+      EXPECT_EQ(baselines::inbox_union(inbox),
+                std::vector<sim::Label>(heard.begin(), heard.end()))
+          << "trial " << trial << " round " << round;
+      model.insert(heard.begin(), heard.end());
+      ASSERT_FALSE(process.has_decided());
+      process.on_receive(round, inbox);
+    }
+    ASSERT_TRUE(process.has_decided()) << "trial " << trial;
+    EXPECT_TRUE(process.halted());
+    const auto rank = static_cast<std::uint64_t>(
+        std::distance(model.begin(), model.find(own)) + 1);
+    EXPECT_EQ(process.decision(), rank) << "trial " << trial;
+  }
+  EXPECT_GT(malformed_seen, 100);  // the skip path was exercised
 }
 
 // ---- Naive balls-into-bins --------------------------------------------------
