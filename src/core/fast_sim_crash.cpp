@@ -70,7 +70,8 @@ class CrashFastSim {
         status_(options.n, Status::kAlive),
         targets_(options.n, tree::kNoNode),
         new_pos_(options.n, tree::kNoNode),
-        names_(options.n, 0) {
+        names_(options.n, 0),
+        seen_(options.n, 0) {
     rngs_.reserve(options.n);
     for (std::uint32_t i = 0; i < options.n; ++i) {
       rngs_.emplace_back(derive_seed(options.seed, kSeedDomainProcess, i));
@@ -142,7 +143,9 @@ class CrashFastSim {
       adversary_->schedule(view, plan);
     }
     std::vector<char> crashed_this_round(options_.n, 0);
-    for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
+    deliver_to_.resize(plan.crashes().size());
+    for (std::size_t v = 0; v < plan.crashes().size(); ++v) {
+      const sim::CrashPlan::Crash& crash = plan.crashes()[v];
       BIL_REQUIRE(crash.victim < options_.n, "crash victim id out of range");
       BIL_REQUIRE(status_[crash.victim] == Status::kAlive &&
                       crashed_this_round[crash.victim] == 0,
@@ -153,6 +156,7 @@ class CrashFastSim {
       status_[crash.victim] = Status::kCrashed;
       ++crashes_so_far_;
       --alive_count_;
+      collect_recipients(crash, deliver_to_[v]);
     }
 
     // ---- Delivery accounting, analytically: the (A−c) surviving
@@ -161,9 +165,9 @@ class CrashFastSim {
     const auto survivors = static_cast<std::uint64_t>(alive_.size()) -
                            plan.crashes().size();
     deliveries_ += survivors * survivors;
-    for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
-      for (const sim::ProcessId recipient : crash.deliver_to) {
-        if (recipient < options_.n && status_[recipient] == Status::kAlive) {
+    for (std::size_t v = 0; v < plan.crashes().size(); ++v) {
+      for (const sim::ProcessId recipient : deliver_to_[v]) {
+        if (status_[recipient] == Status::kAlive) {
           ++deliveries_;
         }
       }
@@ -219,8 +223,8 @@ class CrashFastSim {
     // inboxes are identical.)
     std::vector<std::vector<std::uint32_t>> received(options_.n);
     for (std::uint32_t v = 0; v < crashes.size(); ++v) {
-      for (const sim::ProcessId recipient : crashes[v].deliver_to) {
-        if (recipient < options_.n && status_[recipient] == Status::kAlive) {
+      for (const sim::ProcessId recipient : deliver_to_[v]) {
+        if (status_[recipient] == Status::kAlive) {
           received[recipient].push_back(v);
         }
       }
@@ -400,17 +404,32 @@ class CrashFastSim {
 
   template <typename NodeOf>
   void add_ghosts(const sim::CrashPlan& plan, NodeOf node_of) {
-    for (const sim::CrashPlan::Crash& crash : plan.crashes()) {
+    for (std::size_t v = 0; v < plan.crashes().size(); ++v) {
       Ghost ghost;
-      ghost.label = crash.victim;
-      ghost.node = node_of(crash);
+      ghost.label = plan.crashes()[v].victim;
+      ghost.node = node_of(plan.crashes()[v]);
       ghost.members.assign(options_.n, 0);
-      for (const sim::ProcessId recipient : crash.deliver_to) {
-        if (recipient < options_.n) {
-          ghost.members[recipient] = 1;
-        }
+      for (const sim::ProcessId recipient : deliver_to_[v]) {
+        ghost.members[recipient] = 1;
       }
       ghosts_.push_back(std::move(ghost));
+    }
+  }
+
+  /// CrashPlan::deliver_to is a set (sim/adversary.h): rejects an
+  /// out-of-range recipient with the engine's diagnostic and writes each
+  /// distinct recipient once, in first-seen order, to `out`.
+  void collect_recipients(const sim::CrashPlan::Crash& crash,
+                          std::vector<sim::ProcessId>& out) {
+    out.clear();
+    ++stamp_;
+    for (const sim::ProcessId recipient : crash.deliver_to) {
+      BIL_REQUIRE(recipient < options_.n,
+                  "crash delivery recipient out of range");
+      if (seen_[recipient] != stamp_) {
+        seen_[recipient] = stamp_;
+        out.push_back(recipient);
+      }
     }
   }
 
@@ -438,6 +457,11 @@ class CrashFastSim {
   std::vector<sim::Label> halted_pending_;
   std::vector<Ghost> ghosts_;
   std::vector<std::uint64_t> names_;
+  /// deliver_to_[v]: the distinct recipients of this round's v-th crash.
+  std::vector<std::vector<sim::ProcessId>> deliver_to_;
+  /// seen_[id] == stamp_ iff id is already in the crash being collected.
+  std::vector<std::uint32_t> seen_;
+  std::uint32_t stamp_ = 0;
   std::uint32_t alive_count_ = 0;
   std::uint32_t crashes_so_far_ = 0;
   std::uint64_t deliveries_ = 0;

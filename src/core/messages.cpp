@@ -1,6 +1,7 @@
 #include "core/messages.h"
 
 #include <cstdint>
+#include <utility>
 
 namespace bil::core {
 
@@ -17,8 +18,10 @@ std::size_t encoded_size(const Message& message) noexcept {
                     message);
 }
 
-wire::Buffer encode_message(const Message& message) {
-  wire::Writer writer(encoded_size(message));
+void encode_message_into(const Message& message, wire::Buffer& buf) {
+  buf.clear();
+  buf.reserve(encoded_size(message));
+  wire::Writer writer(std::move(buf));
   std::visit(
       [&writer](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -38,7 +41,13 @@ wire::Buffer encode_message(const Message& message) {
         }
       },
       message);
-  return std::move(writer).take();
+  buf = std::move(writer).take();
+}
+
+wire::Buffer encode_message(const Message& message) {
+  wire::Buffer buf;
+  encode_message_into(message, buf);
+  return buf;
 }
 
 Message decode_message(std::span<const std::byte> bytes) {

@@ -52,10 +52,10 @@ using Message = std::variant<InitMsg, PathMsg, PositionMsg>;
 
 /// Exact encoded sizes (type byte + varints) of the protocol messages. The
 /// per-phase broadcasts — Path in round 1, Position in round 2 — are the
-/// encode hot path (one per alive ball per round), so encode_message seeds
-/// wire::Writer's reserve constructor with these instead of a guessed
-/// constant: exactly one right-sized allocation per message, no growth
-/// reallocation at any n or label magnitude.
+/// encode hot path (one per alive ball per round), so encode_message_into
+/// reserves exactly this much instead of a guessed constant: at most one
+/// right-sized allocation per message, no growth reallocation at any n or
+/// label magnitude.
 [[nodiscard]] constexpr std::size_t encoded_size(const InitMsg& msg) noexcept {
   return 1 + wire::varint_size(msg.label);
 }
@@ -69,7 +69,14 @@ using Message = std::variant<InitMsg, PathMsg, PositionMsg>;
 }
 [[nodiscard]] std::size_t encoded_size(const Message& message) noexcept;
 
-/// Serializes a protocol message.
+/// Serializes a protocol message into `buf`, replacing its contents. The
+/// buffer's capacity is reused, so encoding into a recycled payload slot
+/// (sim::PayloadArena::next_slot) allocates nothing once the slot has held
+/// a payload at least as long.
+void encode_message_into(const Message& message, wire::Buffer& buf);
+
+/// Serializes a protocol message into a fresh buffer (encode_message_into
+/// over an empty one).
 [[nodiscard]] wire::Buffer encode_message(const Message& message);
 
 /// Parses a protocol message; throws wire::WireError on malformed input

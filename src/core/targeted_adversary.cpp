@@ -1,7 +1,6 @@
 #include "core/targeted_adversary.h"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "core/messages.h"
@@ -59,43 +58,69 @@ void TargetedCollisionAdversary::schedule_contended(const sim::RoundView& view,
                                                     sim::CrashPlan& plan) {
   const auto paths = decode_round<PathMsg>(view);
   // Group claimants by target; ignore balls already sitting at their target
-  // (their "path" is the trivial one — they hold a leaf already).
+  // (their "path" is the trivial one — they hold a leaf already). One flat
+  // vector, stable-sorted by target: each group is a contiguous run in
+  // ascending target order, its claimants in alive (outbox) order.
   struct Claimant {
+    tree::NodeId target;
     sim::ProcessId id;
     std::uint32_t start_depth;
     sim::Label label;
   };
-  std::map<tree::NodeId, std::vector<Claimant>> by_target;
+  std::vector<Claimant> claimants;
+  claimants.reserve(paths.size());
   for (const auto& [id, msg] : paths) {
     if (msg.start == msg.target || msg.target >= shape_->num_nodes()) {
       continue;
     }
-    by_target[msg.target].push_back(
-        Claimant{id, shape_->depth(msg.start), msg.label});
+    claimants.push_back(
+        Claimant{msg.target, id, shape_->depth(msg.start), msg.label});
   }
-  // Most contended targets first; within a group the <R favourite (deepest
-  // start, then lowest label) is the ball whose loss hurts most.
-  std::vector<std::pair<tree::NodeId, std::vector<Claimant>>> groups(
-      by_target.begin(), by_target.end());
-  std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
-    return a.second.size() > b.second.size();
-  });
-  std::uint32_t budget =
-      std::min(options_.per_round, view.crash_budget_remaining());
-  for (auto& [target, claimants] : groups) {
-    if (budget == 0) {
-      break;
-    }
+  std::stable_sort(claimants.begin(), claimants.end(),
+                   [](const Claimant& a, const Claimant& b) {
+                     return a.target < b.target;
+                   });
+  // Within a group the <R favourite (deepest start, then lowest label; the
+  // first such claimant on a tie) is the ball whose loss hurts most.
+  struct Group {
+    std::size_t size;
+    sim::ProcessId winner;
+  };
+  std::vector<Group> groups;
+  for (auto begin = claimants.begin(); begin != claimants.end();) {
+    const auto end =
+        std::find_if(begin, claimants.end(), [&](const Claimant& c) {
+          return c.target != begin->target;
+        });
     const auto winner = std::min_element(
-        claimants.begin(), claimants.end(),
-        [](const Claimant& a, const Claimant& b) {
+        begin, end, [](const Claimant& a, const Claimant& b) {
           if (a.start_depth != b.start_depth) {
             return a.start_depth > b.start_depth;
           }
           return a.label < b.label;
         });
-    plan.crash(winner->id, sim::make_delivery_subset(
-                               view, winner->id, options_.subset_policy, rng_));
+    groups.push_back(
+        Group{static_cast<std::size_t>(end - begin), winner->id});
+    begin = end;
+  }
+  // Most contended targets first. std::sort is not stable, so equally
+  // contended groups come out in an order fixed by the comparator's outcomes
+  // alone; the groups enter in ascending target order and are compared by
+  // size only, exactly as the former map-of-vectors grouping did, so ties
+  // resolve identically (the engine's golden cells and the fast-sim
+  // cross-validation suites pin this order).
+  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+    return a.size > b.size;
+  });
+  std::uint32_t budget =
+      std::min(options_.per_round, view.crash_budget_remaining());
+  for (const Group& group : groups) {
+    if (budget == 0) {
+      break;
+    }
+    plan.crash(group.winner, sim::make_delivery_subset(
+                                 view, group.winner, options_.subset_policy,
+                                 rng_));
     --budget;
   }
 }

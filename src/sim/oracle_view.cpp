@@ -1,7 +1,5 @@
 #include "sim/oracle_view.h"
 
-#include <utility>
-
 #include "util/contract.h"
 
 namespace bil::sim {
@@ -18,11 +16,11 @@ void SynthesizedTraffic::begin_round() {
   used_.clear();
 }
 
-void SynthesizedTraffic::broadcast(ProcessId sender, wire::Buffer payload) {
+wire::Buffer& SynthesizedTraffic::broadcast_slot(ProcessId sender) {
   BIL_REQUIRE(sender < outboxes_.size(),
               "synthesized traffic sender id out of range");
   used_.push_back(sender);
-  outboxes_[sender].broadcast(std::move(payload));
+  return outboxes_[sender].broadcast_slot();
 }
 
 }  // namespace bil::sim

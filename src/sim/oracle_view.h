@@ -13,8 +13,14 @@
 // SynthesizedTraffic owns one Outbox per process and exposes a RoundView
 // over them. The encoding side stays with the caller (core layer — the
 // protocol codecs live there; this class is codec-agnostic): fill the round
-// with begin_round() + broadcast(id, payload), then hand view() to
-// Adversary::schedule. As long as the synthesized payloads are byte-level
+// with begin_round() + broadcast_slot(id), encoding each payload straight
+// into the returned slot, then hand view() to Adversary::schedule.
+//
+// Memory and allocation: an outbox that has never sent owns nothing (see
+// sim::PayloadArena), so the n outboxes cost ~56 B each up front and a few
+// small allocations once used. Every later round re-encodes into the slot
+// the same sender used the round before, keeping its capacity, so a
+// steady-state round synthesizes n messages without touching the heap. As long as the synthesized payloads are byte-level
 // decodable to the same protocol messages the engine's processes would have
 // sent — in the same alive-ascending outbox order — an adversary driven
 // through this view commits the bit-identical crash plan, including its RNG
@@ -44,10 +50,12 @@ class SynthesizedTraffic {
   /// round with few senders costs O(senders), not O(n)).
   void begin_round();
 
-  /// Records `payload` as a broadcast `sender` emits this round. Handles
-  /// stay valid until the next begin_round(), mirroring the engine's
-  /// round-scoped outbox lifetime (sim::PayloadArena).
-  void broadcast(ProcessId sender, wire::Buffer payload);
+  /// Records a broadcast `sender` emits this round and returns its payload
+  /// slot — empty, with the capacity of the slot's previous payload — for
+  /// the caller to encode into. Handles stay valid until the next
+  /// begin_round(), mirroring the engine's round-scoped outbox lifetime
+  /// (sim::PayloadArena).
+  [[nodiscard]] wire::Buffer& broadcast_slot(ProcessId sender);
 
   /// A RoundView over the synthesized outboxes, presenting the identical
   /// observation point the engine offers its adversary: after all round-r

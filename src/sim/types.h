@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,27 +38,42 @@ class DecodeCache;
 /// The arena replaces ownership-by-refcount with ownership-by-scope: each
 /// Outbox interns its payloads into its own arena, messages and envelopes
 /// carry plain `const wire::Buffer*` handles, and reset() recycles the slots
-/// when the outbox is cleared for the next round. Slots live in a deque, so
-/// handles stay valid as later sends grow the arena.
+/// when the outbox is cleared for the next round.
+///
+/// Slots are individually heap-allocated buffers behind a vector of owning
+/// pointers, so handles stay valid as later sends grow the arena, and an
+/// arena that never receives a payload owns no memory at all. (The former
+/// std::deque allocated a 512-byte node and its map on construction — ~560 B
+/// per idle outbox, which dominated the memory of runs holding one outbox
+/// per process.)
 ///
 /// Lifetime contract (unchanged from the shared_ptr design, now explicit): a
-/// payload handle is valid from intern() until the owning outbox's next
-/// clear(), i.e. through adversary inspection and the whole delivery round.
-/// Nothing may retain a handle across rounds — the round-scoped DecodeCache
-/// is cleared before each round's first lookup for exactly this reason.
+/// payload handle is valid from next_slot()/intern() until the owning
+/// outbox's next clear(), i.e. through adversary inspection and the whole
+/// delivery round. Nothing may retain a handle across rounds — the
+/// round-scoped DecodeCache is cleared before each round's first lookup for
+/// exactly this reason.
 class PayloadArena {
  public:
-  /// Moves `payload` into the next slot and returns its round-stable
-  /// address. Recycled slots release their previous round's allocation here
-  /// (the move assignment), so steady state costs one buffer handoff per
-  /// send and no refcounting anywhere.
-  const wire::Buffer* intern(wire::Buffer&& payload) {
+  /// The single way into the arena: returns the next slot at its
+  /// round-stable address, empty but keeping the capacity its previous
+  /// round's payload left behind. Encoding straight into it (see
+  /// core::encode_message_into) makes a steady-state send allocation-free.
+  wire::Buffer& next_slot() {
     if (used_ == slots_.size()) {
-      slots_.emplace_back(std::move(payload));
-    } else {
-      slots_[used_] = std::move(payload);
+      slots_.push_back(std::make_unique<wire::Buffer>());
     }
-    return &slots_[used_++];
+    wire::Buffer& slot = *slots_[used_++];
+    slot.clear();
+    return slot;
+  }
+
+  /// Moves an already-encoded `payload` into the next slot (releasing that
+  /// slot's previous allocation) and returns its handle.
+  const wire::Buffer* intern(wire::Buffer&& payload) {
+    wire::Buffer& slot = next_slot();
+    slot = std::move(payload);
+    return &slot;
   }
 
   /// Marks every slot reusable. Outstanding handles become invalid.
@@ -67,7 +82,7 @@ class PayloadArena {
   [[nodiscard]] std::size_t size() const noexcept { return used_; }
 
  private:
-  std::deque<wire::Buffer> slots_;
+  std::vector<std::unique_ptr<wire::Buffer>> slots_;
   std::size_t used_ = 0;
 };
 
@@ -108,10 +123,18 @@ class Outbox {
   /// paper's balls count themselves in their own local views, so loopback
   /// delivery keeps the algorithms symmetric).
   void broadcast(wire::Buffer payload) {
+    broadcast_slot() = std::move(payload);
+  }
+
+  /// broadcast() for callers that encode in place: records the broadcast
+  /// and returns its payload slot (empty, capacity kept; see
+  /// PayloadArena::next_slot) for the caller to fill before the round's
+  /// adversary phase.
+  wire::Buffer& broadcast_slot() {
+    wire::Buffer& slot = arena_.next_slot();
     messages_.push_back(OutboundMessage{
-        .broadcast = true,
-        .to = kNoProcess,
-        .payload = arena_.intern(std::move(payload))});
+        .broadcast = true, .to = kNoProcess, .payload = &slot});
+    return slot;
   }
 
   /// Unicast to a single process.

@@ -53,6 +53,13 @@ class Writer {
   /// Reserves capacity up front when the caller can estimate the size.
   explicit Writer(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
 
+  /// Encodes into `storage`'s allocation: its contents are dropped, its
+  /// capacity kept, so re-encoding into a recycled buffer (take() hands it
+  /// back) allocates only when the new payload outgrows the old one.
+  explicit Writer(Buffer&& storage) noexcept : buf_(std::move(storage)) {
+    buf_.clear();
+  }
+
   void u8(std::uint8_t value);
   void u16(std::uint16_t value);
   void u32(std::uint32_t value);

@@ -94,6 +94,67 @@ TEST(Messages, EncodedSizePredictsEncodedLength) {
   }
 }
 
+// encode_message_into re-encodes into a recycled payload slot. Its bytes
+// must match both encode_message and an independent reference encoding
+// (type tag + LEB128 varints) at every varint length boundary, including
+// when the target buffer still holds a longer previous payload.
+wire::Buffer reference_encoding(const core::Message& message) {
+  wire::Writer writer;
+  if (const auto* init = std::get_if<core::InitMsg>(&message)) {
+    writer.u8(1);
+    writer.varint(init->label);
+  } else if (const auto* path = std::get_if<core::PathMsg>(&message)) {
+    writer.u8(2);
+    writer.varint(path->label);
+    writer.varint(path->start);
+    writer.varint(path->target);
+  } else {
+    const auto& position = std::get<core::PositionMsg>(message);
+    writer.u8(3);
+    writer.varint(position.label);
+    writer.varint(position.node);
+  }
+  return std::move(writer).take();
+}
+
+TEST(Messages, EncodeIntoMatchesEncodeAtVarintBoundaries) {
+  const std::uint32_t nodes[] = {0,     127,   128,
+                                 16383, 16384, std::numeric_limits<std::uint32_t>::max()};
+  const std::uint64_t labels[] = {0,
+                                  127,
+                                  128,
+                                  16384,
+                                  std::uint64_t{1} << 35,
+                                  (std::uint64_t{1} << 63) - 1,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  std::vector<core::Message> probes;
+  for (const std::uint64_t label : labels) {
+    probes.push_back(core::InitMsg{.label = label});
+    for (const std::uint32_t a : nodes) {
+      probes.push_back(core::PositionMsg{.label = label, .node = a});
+      for (const std::uint32_t b : nodes) {
+        probes.push_back(core::PathMsg{.label = label, .start = a, .target = b});
+      }
+    }
+  }
+  // A slot that held the longest possible payload last round.
+  const wire::Buffer longest = core::encode_message(core::PathMsg{
+      .label = std::numeric_limits<std::uint64_t>::max(),
+      .start = std::numeric_limits<std::uint32_t>::max(),
+      .target = std::numeric_limits<std::uint32_t>::max()});
+  for (const core::Message& message : probes) {
+    const wire::Buffer expected = reference_encoding(message);
+    EXPECT_EQ(core::encode_message(message), expected);
+    wire::Buffer recycled = longest;
+    core::encode_message_into(message, recycled);
+    ASSERT_EQ(recycled, expected);
+    EXPECT_EQ(core::decode_message(recycled), message);
+    wire::Buffer fresh;
+    core::encode_message_into(message, fresh);
+    EXPECT_EQ(fresh, expected);
+  }
+}
+
 // ---- Fault-free end-to-end runs -------------------------------------------
 
 harness::RunSummary run_simple(std::uint32_t n, std::uint64_t seed,

@@ -16,10 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/backend.h"
+#include "core/fast_sim_crash.h"
+#include "harness/runner.h"
+#include "sim/engine.h"
+#include "tree/shape.h"
 #include "util/contract.h"
 #include "util/flags.h"
 
@@ -256,6 +262,106 @@ TEST(FastSimCrash, TargetedAdversariesRideTheTrafficOraclePath) {
   EXPECT_FALSE(api::fast_sim_compatible(cell));
   cell.backend = api::BackendKind::kFastSim;
   EXPECT_THROW((void)api::select_backend(cell), ContractViolation);
+}
+
+// ---- The CrashPlan contract: deliver_to is a set of in-range ids ----------
+
+/// One crash in one round, with a hand-written delivery list.
+struct FixedCrash {
+  sim::RoundNumber when = 0;
+  sim::ProcessId victim = 0;
+  std::vector<sim::ProcessId> deliver_to;
+};
+
+/// Commits a FixedCrash exactly as given (no make_delivery_subset clean-up).
+class FixedCrashAdversary final : public sim::Adversary {
+ public:
+  explicit FixedCrashAdversary(FixedCrash crash) : crash_(std::move(crash)) {}
+
+  void schedule(const sim::RoundView& view, sim::CrashPlan& plan) override {
+    if (view.round() == crash_.when) {
+      plan.crash(crash_.victim, crash_.deliver_to);
+    }
+  }
+
+ private:
+  FixedCrash crash_;
+};
+
+struct FixedCrashRun {
+  std::uint64_t deliveries = 0;
+  std::vector<std::uint64_t> names;
+};
+
+FixedCrashRun run_engine_fixed(std::uint32_t n, std::uint64_t seed,
+                               const FixedCrash& crash) {
+  harness::RunConfig config;
+  config.algorithm = Algorithm::kBallsIntoLeaves;
+  config.n = n;
+  config.seed = seed;
+  config.adversary.crashes = 1;
+  sim::Engine engine(
+      sim::EngineConfig{.num_processes = n, .max_crashes = 1},
+      harness::make_processes(config, tree::TreeShape::make(n)),
+      std::make_unique<FixedCrashAdversary>(crash));
+  const sim::RunResult result = engine.run();
+  FixedCrashRun run;
+  run.deliveries = result.metrics.total_deliveries;
+  for (const sim::ProcessOutcome& outcome : result.outcomes) {
+    run.names.push_back(outcome.decided ? outcome.name : 0);
+  }
+  return run;
+}
+
+FixedCrashRun run_fast_fixed(std::uint32_t n, std::uint64_t seed,
+                             const FixedCrash& crash) {
+  core::CrashFastSimOptions options;
+  options.n = n;
+  options.seed = seed;
+  options.policy = core::PathPolicy::kRandomWeighted;
+  options.max_crashes = 1;
+  FixedCrashAdversary adversary(crash);
+  const core::CrashFastSimResult result =
+      core::run_fast_sim_crash(options, &adversary);
+  return FixedCrashRun{result.deliveries, result.names};
+}
+
+TEST(FastSimCrash, DuplicateRecipientsCountOnceLikeTheEngine) {
+  // {1,1,2,3,3,5} names four distinct recipients; counting the repeats
+  // would add two deliveries the engine never makes.
+  for (sim::RoundNumber when : {0u, 1u, 2u}) {
+    const FixedCrash crash{when, 0, {1, 1, 2, 3, 3, 5}};
+    for (std::uint64_t seed : {1ULL, 7ULL, 9001ULL}) {
+      const FixedCrashRun engine = run_engine_fixed(16, seed, crash);
+      const FixedCrashRun fast = run_fast_fixed(16, seed, crash);
+      const std::string what = "crash round " + std::to_string(when) +
+                               ", seed " + std::to_string(seed);
+      EXPECT_EQ(fast.deliveries, engine.deliveries) << what;
+      EXPECT_EQ(fast.names, engine.names) << what;
+    }
+  }
+}
+
+TEST(FastSimCrash, OutOfRangeRecipientIsRejectedLikeTheEngine) {
+  for (sim::RoundNumber when : {0u, 1u, 2u}) {
+    const FixedCrash crash{when, 0, {2, 16}};
+    for (const bool fast : {false, true}) {
+      try {
+        if (fast) {
+          (void)run_fast_fixed(16, 1, crash);
+        } else {
+          (void)run_engine_fixed(16, 1, crash);
+        }
+        ADD_FAILURE() << (fast ? "fast sim" : "engine")
+                      << " accepted recipient 16 at n = 16, round " << when;
+      } catch (const ContractViolation& violation) {
+        EXPECT_NE(std::string(violation.what())
+                      .find("crash delivery recipient out of range"),
+                  std::string::npos)
+            << violation.what();
+      }
+    }
+  }
 }
 
 // ---- CLI flag hardening (bil_run numeric flags) -----------------------------

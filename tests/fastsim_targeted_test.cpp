@@ -13,12 +13,21 @@
 // victim selection would diverge and some cell here would catch it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/backend.h"
+#include "core/messages.h"
+#include "core/targeted_adversary.h"
+#include "sim/oracle_view.h"
+#include "tree/shape.h"
 #include "util/contract.h"
+#include "util/rng.h"
 
 namespace bil {
 namespace {
@@ -176,6 +185,185 @@ TEST(FastSimTargeted, TargetedCellsScaleBeyondTheEngine) {
       named += name != 0 ? 1 : 0;
     }
     EXPECT_EQ(named, n - record.crashes);
+  }
+}
+
+// ---- Flat contended-winner grouping vs the map-of-vectors original ---------
+
+/// The contended-winner step as it was written before the flat grouping: a
+/// std::map of per-target claimant vectors, copied into a vector and sorted
+/// by group size. Kept verbatim (bar naming) as the differential reference.
+class MapGroupingContendedWinner final : public sim::Adversary {
+ public:
+  MapGroupingContendedWinner(std::shared_ptr<const tree::TreeShape> shape,
+                             std::uint32_t per_round,
+                             sim::SubsetPolicy subset, std::uint64_t seed)
+      : shape_(std::move(shape)),
+        per_round_(per_round),
+        subset_(subset),
+        rng_(seed) {}
+
+  void schedule(const sim::RoundView& view, sim::CrashPlan& plan) override {
+    if (view.round() == 0 || view.crash_budget_remaining() == 0 ||
+        view.round() % 2 != 1) {
+      return;
+    }
+    std::vector<std::pair<sim::ProcessId, core::PathMsg>> paths;
+    for (sim::ProcessId id : view.alive()) {
+      for (const sim::OutboundMessage& message : view.outgoing(id)) {
+        try {
+          const core::Message decoded = core::decode_message(*message.payload);
+          if (const auto* msg = std::get_if<core::PathMsg>(&decoded)) {
+            paths.emplace_back(id, *msg);
+            break;
+          }
+        } catch (const wire::WireError&) {
+        }
+      }
+    }
+    struct Claimant {
+      sim::ProcessId id;
+      std::uint32_t start_depth;
+      sim::Label label;
+    };
+    std::map<tree::NodeId, std::vector<Claimant>> by_target;
+    for (const auto& [id, msg] : paths) {
+      if (msg.start == msg.target || msg.target >= shape_->num_nodes()) {
+        continue;
+      }
+      by_target[msg.target].push_back(
+          Claimant{id, shape_->depth(msg.start), msg.label});
+    }
+    std::vector<std::pair<tree::NodeId, std::vector<Claimant>>> groups(
+        by_target.begin(), by_target.end());
+    std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
+      return a.second.size() > b.second.size();
+    });
+    std::uint32_t budget = std::min(per_round_, view.crash_budget_remaining());
+    for (auto& [target, claimants] : groups) {
+      if (budget == 0) {
+        break;
+      }
+      const auto winner = std::min_element(
+          claimants.begin(), claimants.end(),
+          [](const Claimant& a, const Claimant& b) {
+            if (a.start_depth != b.start_depth) {
+              return a.start_depth > b.start_depth;
+            }
+            return a.label < b.label;
+          });
+      plan.crash(winner->id,
+                 sim::make_delivery_subset(view, winner->id, subset_, rng_));
+      --budget;
+    }
+  }
+
+ private:
+  std::shared_ptr<const tree::TreeShape> shape_;
+  std::uint32_t per_round_;
+  sim::SubsetPolicy subset_;
+  Rng rng_;
+};
+
+/// Fills `traffic` with one random path round over a random alive subset:
+/// 24..48 contended targets whose group sizes come from a two-value set (so
+/// most groups tie on size and std::sort runs its introsort partitioning,
+/// not only its insertion-sort tail), start depths from a handful of nodes
+/// (so winners tie on depth and fall back to labels), plus trivial and
+/// out-of-range paths the adversary must skip.
+std::vector<sim::ProcessId> random_path_round(sim::SynthesizedTraffic& traffic,
+                                              const tree::TreeShape& shape,
+                                              std::uint32_t n, Rng& rng) {
+  std::vector<sim::ProcessId> alive;
+  for (sim::ProcessId id = 0; id < n; ++id) {
+    if (rng.below(8) != 0) {
+      alive.push_back(id);
+    }
+  }
+  const auto groups = static_cast<std::uint32_t>(rng.between(24, 48));
+  std::vector<tree::NodeId> targets;
+  while (targets.size() < groups) {
+    const auto node = static_cast<tree::NodeId>(rng.below(shape.num_nodes()));
+    if (std::find(targets.begin(), targets.end(), node) == targets.end()) {
+      targets.push_back(node);
+    }
+  }
+  const std::uint64_t small = rng.between(1, 3);
+  std::vector<tree::NodeId> claims;
+  for (const tree::NodeId target : targets) {
+    const std::uint64_t size = rng.below(3) == 0 ? small + 2 : small;
+    claims.insert(claims.end(), size, target);
+  }
+  std::vector<tree::NodeId> starts;
+  for (int i = 0; i < 4; ++i) {
+    starts.push_back(static_cast<tree::NodeId>(rng.below(shape.num_nodes())));
+  }
+  traffic.begin_round();
+  for (const sim::ProcessId id : alive) {
+    const sim::Label label = rng.below(4 * n);
+    const tree::NodeId start = starts[rng.below(starts.size())];
+    tree::NodeId target = start;  // trivial path unless a claim is left
+    if (!claims.empty() && rng.below(8) != 0) {
+      const std::size_t pick = rng.below(claims.size());
+      target = claims[pick];
+      claims.erase(claims.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (rng.below(4) == 0) {
+      target = shape.num_nodes() + static_cast<tree::NodeId>(rng.below(9));
+    }
+    core::encode_message_into(core::PathMsg{label, start, target},
+                              traffic.broadcast_slot(id));
+  }
+  return alive;
+}
+
+void expect_same_plan(const sim::CrashPlan& expected,
+                      const sim::CrashPlan& observed, const std::string& what) {
+  ASSERT_EQ(observed.crashes().size(), expected.crashes().size()) << what;
+  for (std::size_t v = 0; v < expected.crashes().size(); ++v) {
+    EXPECT_EQ(observed.crashes()[v].victim, expected.crashes()[v].victim)
+        << what << " — victim " << v;
+    EXPECT_EQ(observed.crashes()[v].deliver_to,
+              expected.crashes()[v].deliver_to)
+        << what << " — deliver_to of victim " << v;
+  }
+}
+
+TEST(TargetedGrouping, FlatGroupingMatchesTheMapGroupingEveryPolicy) {
+  const std::uint32_t n = 256;
+  const auto shape = tree::TreeShape::make(n);
+  sim::SynthesizedTraffic traffic(n);
+  Rng inputs(0x6A0u);
+  for (sim::SubsetPolicy subset :
+       {sim::SubsetPolicy::kSilent, sim::SubsetPolicy::kAlternating,
+        sim::SubsetPolicy::kRandomHalf, sim::SubsetPolicy::kAll}) {
+    for (std::uint64_t trial = 0; trial < 60; ++trial) {
+      // per_round 64 crashes a winner from every group, so the whole
+      // sorted group order is compared, not only its head.
+      const auto per_round = trial % 3 == 0 ? 1u : 64u;
+      const std::uint64_t seed = 1000 + trial;
+      core::TargetedCollisionAdversary flat(
+          shape,
+          {.mode = core::TargetedCollisionAdversary::Mode::kContendedWinner,
+           .per_round = per_round,
+           .subset_policy = subset},
+          seed);
+      MapGroupingContendedWinner reference(shape, per_round, subset, seed);
+      // Consecutive path rounds against the same two objects: a plan that
+      // drew differently from the subset RNG shows up in the next one.
+      for (sim::RoundNumber round = 1; round < 8; round += 2) {
+        const std::vector<sim::ProcessId> alive =
+            random_path_round(traffic, *shape, n, inputs);
+        const sim::RoundView view = traffic.view(round, alive, 200);
+        sim::CrashPlan expected;
+        sim::CrashPlan observed;
+        reference.schedule(view, expected);
+        flat.schedule(view, observed);
+        expect_same_plan(expected, observed,
+                         "subset " + std::to_string(static_cast<int>(subset)) +
+                             ", trial " + std::to_string(trial) + ", round " +
+                             std::to_string(round));
+      }
+    }
   }
 }
 

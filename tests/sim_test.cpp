@@ -3,6 +3,7 @@
 // validation, and the decode cache's per-span memo behind delivery classes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <memory>
@@ -585,6 +586,58 @@ TEST(Adversaries, MakeDeliverySubsetPolicies) {
     EXPECT_NE(id, 2u);
     EXPECT_LT(id, 5u);
   }
+}
+
+// ---- PayloadArena slot storage ---------------------------------------------
+
+TEST(PayloadArena, EarlyHandlesSurviveAThousandLaterInterns) {
+  PayloadArena arena;
+  std::vector<const wire::Buffer*> early;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    early.push_back(arena.intern(payload_of(i)));
+  }
+  std::vector<const wire::Buffer*> all = early;
+  for (std::uint64_t i = 3; i < 1003; ++i) {
+    all.push_back(arena.intern(payload_of(i)));
+  }
+  ASSERT_EQ(arena.size(), 1003u);
+  for (std::uint64_t i = 0; i < early.size(); ++i) {
+    wire::Reader reader(*early[i]);
+    EXPECT_EQ(reader.varint(), i);
+  }
+  std::vector<const wire::Buffer*> sorted = all;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "two interns in one round share a slot";
+}
+
+TEST(PayloadArena, RecycledSlotStartsEmptyAndKeepsItsAddress) {
+  PayloadArena arena;
+  wire::Buffer& first = arena.next_slot();
+  EXPECT_TRUE(first.empty());
+  first.assign(64, std::byte{0xAB});
+  const std::size_t capacity = first.capacity();
+  arena.reset();
+  wire::Buffer& recycled = arena.next_slot();
+  EXPECT_EQ(&recycled, &first);
+  EXPECT_TRUE(recycled.empty()) << "a recycled slot leaked last round's bytes";
+  EXPECT_EQ(recycled.capacity(), capacity);
+}
+
+TEST(Outbox, BroadcastSlotRecordsOneBroadcastPerCall) {
+  Outbox out;
+  wire::Buffer& slot = out.broadcast_slot();
+  wire::Writer writer(std::move(slot));
+  writer.varint(300);
+  slot = std::move(writer).take();
+  out.broadcast(payload_of(7));
+  ASSERT_EQ(out.messages().size(), 2u);
+  EXPECT_TRUE(out.messages()[0].broadcast);
+  EXPECT_EQ(out.messages()[0].payload, &slot);
+  EXPECT_EQ(wire::Reader(*out.messages()[0].payload).varint(), 300u);
+  EXPECT_EQ(wire::Reader(*out.messages()[1].payload).varint(), 7u);
+  out.clear();
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace
