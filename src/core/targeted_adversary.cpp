@@ -103,12 +103,12 @@ void TargetedCollisionAdversary::schedule_contended(const sim::RoundView& view,
         Group{static_cast<std::size_t>(end - begin), winner->id});
     begin = end;
   }
-  // Most contended targets first. std::sort is not stable, so equally
-  // contended groups come out in an order fixed by the comparator's outcomes
-  // alone; the groups enter in ascending target order and are compared by
-  // size only, exactly as the former map-of-vectors grouping did, so ties
-  // resolve identically (the engine's golden cells and the fast-sim
-  // cross-validation suites pin this order).
+  // Most contended targets first. The tie order among equally contended
+  // targets is part of the adversary's observable behaviour (the golden
+  // cells pin it), and std::sort is not stable: its permutation is a
+  // function of the comparator's outcomes alone. So the groups must enter
+  // in ascending target order and be compared by size only, as in the
+  // map-of-vectors grouping fastsim_targeted_test keeps as its reference.
   std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
     return a.size > b.size;
   });

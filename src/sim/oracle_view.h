@@ -14,17 +14,18 @@
 // over them. The encoding side stays with the caller (core layer — the
 // protocol codecs live there; this class is codec-agnostic): fill the round
 // with begin_round() + broadcast_slot(id), encoding each payload straight
-// into the returned slot, then hand view() to Adversary::schedule.
+// into the returned slot, then hand view() to Adversary::schedule. As long
+// as the synthesized payloads are byte-level decodable to the same protocol
+// messages the engine's processes would have sent — in the same
+// alive-ascending outbox order — an adversary driven through this view
+// commits the bit-identical crash plan, including its RNG draws
+// (tests/fastsim_targeted_test.cpp asserts this end to end).
 //
 // Memory and allocation: an outbox that has never sent owns nothing (see
 // sim::PayloadArena), so the n outboxes cost ~56 B each up front and a few
 // small allocations once used. Every later round re-encodes into the slot
 // the same sender used the round before, keeping its capacity, so a
-// steady-state round synthesizes n messages without touching the heap. As long as the synthesized payloads are byte-level
-// decodable to the same protocol messages the engine's processes would have
-// sent — in the same alive-ascending outbox order — an adversary driven
-// through this view commits the bit-identical crash plan, including its RNG
-// draws (tests/fastsim_targeted_test.cpp asserts this end to end).
+// steady-state round synthesizes n messages without touching the heap.
 //
 // process() remains unbacked (empty span, throws on access) exactly like the
 // schedule-only view: an adversary that introspects process internals has no

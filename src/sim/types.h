@@ -42,10 +42,11 @@ class DecodeCache;
 ///
 /// Slots are individually heap-allocated buffers behind a vector of owning
 /// pointers, so handles stay valid as later sends grow the arena, and an
-/// arena that never receives a payload owns no memory at all. (The former
-/// std::deque allocated a 512-byte node and its map on construction — ~560 B
-/// per idle outbox, which dominated the memory of runs holding one outbox
-/// per process.)
+/// arena that never receives a payload owns no memory at all. Both matter
+/// because callers hold one outbox per process: the engine, and the traffic
+/// oracle of targeted fast-sim runs at n = 2^15..2^18 (sim/oracle_view.h).
+/// A std::deque, by contrast, allocates a 512-byte node and its map on
+/// construction.
 ///
 /// Lifetime contract (unchanged from the shared_ptr design, now explicit): a
 /// payload handle is valid from next_slot()/intern() until the owning
@@ -130,7 +131,7 @@ class Outbox {
   /// and returns its payload slot (empty, capacity kept; see
   /// PayloadArena::next_slot) for the caller to fill before the round's
   /// adversary phase.
-  wire::Buffer& broadcast_slot() {
+  [[nodiscard]] wire::Buffer& broadcast_slot() {
     wire::Buffer& slot = arena_.next_slot();
     messages_.push_back(OutboundMessage{
         .broadcast = true, .to = kNoProcess, .payload = &slot});

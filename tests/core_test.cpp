@@ -119,7 +119,8 @@ wire::Buffer reference_encoding(const core::Message& message) {
 
 TEST(Messages, EncodeIntoMatchesEncodeAtVarintBoundaries) {
   const std::uint32_t nodes[] = {0,     127,   128,
-                                 16383, 16384, std::numeric_limits<std::uint32_t>::max()};
+                                 16383, 16384,
+                                 std::numeric_limits<std::uint32_t>::max()};
   const std::uint64_t labels[] = {0,
                                   127,
                                   128,
@@ -133,7 +134,8 @@ TEST(Messages, EncodeIntoMatchesEncodeAtVarintBoundaries) {
     for (const std::uint32_t a : nodes) {
       probes.push_back(core::PositionMsg{.label = label, .node = a});
       for (const std::uint32_t b : nodes) {
-        probes.push_back(core::PathMsg{.label = label, .start = a, .target = b});
+        probes.push_back(
+            core::PathMsg{.label = label, .start = a, .target = b});
       }
     }
   }
