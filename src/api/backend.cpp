@@ -1,5 +1,7 @@
 #include "api/backend.h"
 
+#include <limits>
+
 #include "api/registry.h"
 #include "core/fast_sim.h"
 #include "core/fast_sim_crash.h"
@@ -52,30 +54,6 @@ RunRecord EngineBackend::run(const CellConfig& cell,
   return record;
 }
 
-namespace {
-
-/// Validates a fast-sim run to the engine path's standard
-/// (sim::validate_renaming): every correct ball decided (exactly `crashes`
-/// balls carry the crashed sentinel 0), names lie in 1..n, no duplicates.
-void validate_fast_names(const std::vector<std::uint64_t>& names,
-                         std::uint32_t n, std::uint32_t crashes) {
-  std::vector<bool> used(n + 1, false);
-  std::uint32_t undecided = 0;
-  for (std::uint64_t name : names) {
-    if (name == 0) {
-      ++undecided;  // crashed balls owe nothing
-      continue;
-    }
-    BIL_ENSURE(name <= n, "fast sim name out of range");
-    BIL_ENSURE(!used[name], "fast sim assigned a duplicate name");
-    used[name] = true;
-  }
-  BIL_ENSURE(undecided == crashes,
-             "fast sim left a correct ball without a name");
-}
-
-}  // namespace
-
 RunRecord FastSimBackend::run(const CellConfig& cell,
                               std::uint64_t seed) const {
   const std::string incompatibility = fast_sim_incompatibility(cell);
@@ -85,15 +63,17 @@ RunRecord FastSimBackend::run(const CellConfig& cell,
   // Payloads are never materialized on either fast path; byte counts are
   // absent (JSON null), never fake zeros.
   record.bytes_measured = false;
+  const core::PathPolicy policy = algorithm_info(cell.algorithm).policy;
+  const harness::FastSimRoute route = adversary_info(cell.adversary.kind).route;
 
-  if (cell.adversary.kind == harness::AdversaryKind::kNone) {
+  if (route == harness::FastSimRoute::kCrashFree) {
     core::FastSimOptions options;
     options.n = cell.n;
     options.seed = seed;
-    options.policy = algorithm_info(cell.algorithm).policy;
+    options.policy = policy;
     const core::FastSimResult result = core::run_fast_sim(options);
     BIL_ENSURE(result.completed, "fast sim hit its phase cap");
-    validate_fast_names(result.names, cell.n, 0);
+    core::validate_fast_names(result.names, cell.n, 0);
     record.rounds = result.rounds();
     record.total_rounds = result.rounds();
     // Crash-free all-broadcast protocol: every round each of the n
@@ -109,25 +89,23 @@ RunRecord FastSimBackend::run(const CellConfig& cell,
   // Crash cell: replay the exact adversary object the engine harness would
   // construct for this (spec, n, seed), so victim choices, crash rounds and
   // delivery-subset coins are bit-identical (core/fast_sim_crash.h). The
-  // protocol-aware targeted kinds additionally need the tree shape their
-  // decode logic measures depths against — TreeShape::make is a pure
-  // function of n, so a fresh shape is the engine's shape — and are driven
-  // through the traffic oracle (core/fast_sim_targeted.h).
-  const bool targeted =
-      cell.adversary.kind == harness::AdversaryKind::kTargetedWinner ||
-      cell.adversary.kind == harness::AdversaryKind::kTargetedAnnouncer;
+  // traffic-oracle kinds additionally need the tree shape their decode
+  // logic measures depths against — TreeShape::make is a pure function of
+  // n, so a fresh shape is the engine's shape — and are driven through
+  // synthesized round traffic (core/fast_sim_targeted.h).
+  const bool oracle = route == harness::FastSimRoute::kTrafficOracle;
   const std::unique_ptr<sim::Adversary> adversary = harness::make_adversary(
       cell.adversary, cell.n, seed,
-      targeted ? tree::TreeShape::make(cell.n) : nullptr);
+      oracle ? tree::TreeShape::make(cell.n) : nullptr);
   core::CrashFastSimOptions options;
   options.n = cell.n;
   options.seed = seed;
-  options.policy = algorithm_info(cell.algorithm).policy;
+  options.policy = policy;
   options.max_crashes = cell.adversary.crashes;
   const core::CrashFastSimResult result =
-      targeted ? core::run_fast_sim_targeted(options, adversary.get())
-               : core::run_fast_sim_crash(options, adversary.get());
-  validate_fast_names(result.names, cell.n, result.crashes);
+      oracle ? core::run_fast_sim_targeted(options, adversary.get())
+             : core::run_fast_sim_crash(options, adversary.get());
+  core::validate_fast_names(result.names, cell.n, result.crashes);
   record.rounds = result.rounds;
   record.total_rounds = result.total_rounds;
   record.crashes = result.crashes;
@@ -147,22 +125,23 @@ std::string fast_sim_incompatibility(const CellConfig& cell) {
            "' (not tree-based; only the tree-descent algorithms have a "
            "single-view symbolic execution) — use --backend engine";
   }
-  if (!adversary_info(cell.adversary.kind).fast_sim_capable) {
-    const AdversaryInfo& info = adversary_info(cell.adversary.kind);
-    if (info.fault_model == "byzantine") {
-      return "fast-sim cannot replay adversary '" + info.name +
+  const AdversaryInfo& info = adversary_info(cell.adversary.kind);
+  if (!info.fast_sim_capable()) {
+    const std::string name = info.name;
+    if (info.fault_model == harness::FaultModel::kByzantine) {
+      return "fast-sim cannot replay adversary '" + name +
              "': Byzantine corruption rewrites materialized per-recipient "
              "wire traffic, which the single-view symbolic execution has no "
              "representation for — use --backend engine";
     }
-    if (info.fault_model == "delay") {
-      return "fast-sim cannot replay adversary '" + info.name +
+    if (info.fault_model == harness::FaultModel::kDelay) {
+      return "fast-sim cannot replay adversary '" + name +
              "': delay scheduling is an engine concept — the adversary "
              "assumes the DeliveryScheduler role in the engine's round loop, "
              "and the single-view symbolic execution has no virtual clock — "
              "use --backend engine";
     }
-    return "fast-sim cannot replay adversary '" + info.name +
+    return "fast-sim cannot replay adversary '" + name +
            "' symbolically — use --backend engine";
   }
   if (cell.termination != core::TerminationMode::kGlobal) {
@@ -180,6 +159,15 @@ std::string fast_sim_incompatibility(const CellConfig& cell) {
   return {};
 }
 
+std::uint32_t auto_fast_sim_min_n(harness::FastSimRoute route) noexcept {
+  // Indexed by route: crash-free, schedule replay, traffic oracle, engine
+  // only.
+  constexpr std::uint32_t kMinN[] = {
+      kAutoFastSimMinN, kAutoFastSimCrashMinN, kAutoFastSimTargetedMinN,
+      std::numeric_limits<std::uint32_t>::max()};
+  return kMinN[static_cast<std::size_t>(route)];
+}
+
 BackendKind select_backend(const CellConfig& cell) {
   switch (cell.backend) {
     case BackendKind::kEngine:
@@ -190,13 +178,8 @@ BackendKind select_backend(const CellConfig& cell) {
       return BackendKind::kFastSim;
     }
     case BackendKind::kAuto: {
-      const bool targeted =
-          cell.adversary.kind == harness::AdversaryKind::kTargetedWinner ||
-          cell.adversary.kind == harness::AdversaryKind::kTargetedAnnouncer;
       const std::uint32_t min_n =
-          cell.adversary.kind == harness::AdversaryKind::kNone
-              ? kAutoFastSimMinN
-              : (targeted ? kAutoFastSimTargetedMinN : kAutoFastSimCrashMinN);
+          auto_fast_sim_min_n(adversary_info(cell.adversary.kind).route);
       return fast_sim_compatible(cell) && cell.n >= min_n
                  ? BackendKind::kFastSim
                  : BackendKind::kEngine;

@@ -4,12 +4,9 @@
 // harness::run_renaming — exact semantics, every adversary, O(n²) messages
 // per round, practical to n ≈ 2¹⁴ since the round-batched delivery fabric
 // (see docs/perf.md; ~2¹¹ before it). FastSimBackend drives the single-view
-// simulators — core::run_fast_sim for crash-free cells,
-// core::run_fast_sim_crash for cells attacked by a schedule-only crash
-// adversary (oblivious/burst/eager/sandwich), and
-// core::run_fast_sim_targeted (the traffic-oracle path) for the
-// protocol-aware targeted adversaries — bit-identical to the engine on
-// their shared domain (asserted by tests/fast_sim_test.cpp,
+// simulators, one per fast-sim route of the adversary table
+// (harness/adversary_table.h) — bit-identical to the engine on their
+// shared domain (asserted by tests/fast_sim_test.cpp,
 // tests/fastsim_crash_test.cpp and tests/fastsim_targeted_test.cpp),
 // O(n log n) per phase, practical past n = 2¹⁸. select_backend picks per
 // cell so that large sweeps — including every registered crash adversary —
@@ -86,13 +83,12 @@ class EngineBackend final : public Backend {
 };
 
 /// Single-view fast simulator. Tree-based, default-labelled, globally
-/// terminating, uncapped cells whose adversary (if any) is symbolically
-/// replayable (the regimes where it is provably exact);
-/// fast_sim_compatible tells you in advance. Crash cells replay the
-/// engine's adversary object bit-for-bit and simulate subset-delivery
-/// divergence symbolically (core/fast_sim_crash.h); the protocol-aware
-/// targeted kinds are driven through synthesized round traffic
-/// (core/fast_sim_targeted.h).
+/// terminating, uncapped cells whose adversary (if any) has a fast-sim
+/// route (the regimes where it is provably exact); fast_sim_compatible
+/// tells you in advance. Dispatches on the route: core::run_fast_sim
+/// crash-free, core::run_fast_sim_crash replaying the engine's adversary
+/// object bit-for-bit, or core::run_fast_sim_targeted feeding it
+/// synthesized round traffic.
 class FastSimBackend final : public Backend {
  public:
   [[nodiscard]] BackendKind kind() const noexcept override {
@@ -103,8 +99,8 @@ class FastSimBackend final : public Backend {
 };
 
 /// True when FastSimBackend can execute the cell exactly: a tree-based
-/// algorithm, a symbolically replayable adversary (every registered kind —
-/// adversary_info(kind).fast_sim_capable), global termination, no round
+/// algorithm, an adversary with a fast-sim route
+/// (adversary_info(kind).fast_sim_capable()), global termination, no round
 /// cap, default labelling.
 [[nodiscard]] bool fast_sim_compatible(const CellConfig& cell);
 
@@ -143,11 +139,16 @@ inline constexpr std::uint32_t kAutoFastSimCrashMinN = 8192;
 /// the thresholds can move independently if the trade-offs diverge.
 inline constexpr std::uint32_t kAutoFastSimTargetedMinN = 8192;
 
+/// The smallest n at which kAuto sends a compatible cell on `route` to the
+/// fast sim: kAutoFastSimMinN crash-free, kAutoFastSimCrashMinN on schedule
+/// replay, kAutoFastSimTargetedMinN on the traffic oracle; never (the
+/// type's maximum) for kEngineOnly.
+[[nodiscard]] std::uint32_t auto_fast_sim_min_n(
+    harness::FastSimRoute route) noexcept;
+
 /// Resolves a cell's backend request to a concrete kind. kAuto picks
-/// kFastSim for compatible cells at or above the domain's threshold
-/// (kAutoFastSimMinN crash-free, kAutoFastSimCrashMinN under a
-/// schedule-only crash adversary, kAutoFastSimTargetedMinN under a
-/// targeted one); explicit kFastSim on an incompatible cell throws with
+/// kFastSim for compatible cells with n >= auto_fast_sim_min_n of the
+/// adversary's route; explicit kFastSim on an incompatible cell throws with
 /// fast_sim_incompatibility's diagnostic.
 [[nodiscard]] BackendKind select_backend(const CellConfig& cell);
 

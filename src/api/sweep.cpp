@@ -102,11 +102,12 @@ void write_churn(std::ostream& os, const ChurnCellSummary& churn) {
 
 void write_cell(std::ostream& os, const CellSummary& cell) {
   const harness::AdversarySpec& adversary = cell.config.adversary;
+  const AdversaryInfo& info = adversary_info(adversary.kind);
   os << "{\"algorithm\":\"" << algorithm_info(cell.config.algorithm).name
      << "\",\"n\":" << cell.config.n << ",\"adversary\":{\"kind\":\""
-     << adversary_info(adversary.kind).name
-     << "\",\"fault_model\":\"" << adversary_info(adversary.kind).fault_model
-     << "\",\"timing\":\"" << adversary_info(adversary.kind).timing
+     << info.name << "\",\"fault_model\":\""
+     << harness::to_string(info.fault_model) << "\",\"timing\":\""
+     << info.timing()
      << "\",\"crashes\":" << adversary.crashes << ",\"when\":" << adversary.when
      << ",\"horizon\":" << adversary.horizon
      << ",\"per_round\":" << adversary.per_round

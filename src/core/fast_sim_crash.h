@@ -139,4 +139,11 @@ class AdversaryViewOracle {
     const CrashFastSimOptions& options, sim::Adversary* adversary,
     AdversaryViewOracle* oracle = nullptr);
 
+/// Validates a fast-sim run's names to sim::validate_renaming's standard,
+/// throwing ContractViolation otherwise: every correct ball decided
+/// (exactly `crashes` carry the crashed sentinel 0), names lie in 1..n, no
+/// duplicates.
+void validate_fast_names(std::span<const std::uint64_t> names,
+                         std::uint32_t n, std::uint32_t crashes);
+
 }  // namespace bil::core

@@ -6,9 +6,7 @@
 #include "baselines/gossip.h"
 #include "baselines/naive_bins.h"
 #include "baselines/splitter_net.h"
-#include "core/byzantine_adversary.h"
 #include "core/seeds.h"
-#include "core/targeted_adversary.h"
 #include "tree/shape.h"
 #include "util/contract.h"
 #include "util/rng.h"
@@ -35,43 +33,13 @@ const char* to_string(Algorithm algorithm) noexcept {
   return "unknown";
 }
 
-const char* to_string(AdversaryKind kind) noexcept {
-  switch (kind) {
-    case AdversaryKind::kNone:
-      return "none";
-    case AdversaryKind::kOblivious:
-      return "oblivious";
-    case AdversaryKind::kBurst:
-      return "burst";
-    case AdversaryKind::kSandwich:
-      return "sandwich";
-    case AdversaryKind::kEager:
-      return "eager";
-    case AdversaryKind::kTargetedWinner:
-      return "targeted-winner";
-    case AdversaryKind::kTargetedAnnouncer:
-      return "targeted-announcer";
-    case AdversaryKind::kByzantineBitFlip:
-      return "byzantine-bitflip";
-    case AdversaryKind::kByzantineLiar:
-      return "byzantine-liar";
-    case AdversaryKind::kByzantineEquivocator:
-      return "byzantine-equivocator";
-    case AdversaryKind::kBoundedDelay:
-      return "bounded-delay";
-    case AdversaryKind::kGst:
-      return "gst";
-  }
-  return "unknown";
+bool is_tree_based(Algorithm algorithm) noexcept {
+  return algorithm != Algorithm::kGossip &&
+         algorithm != Algorithm::kNaiveBins &&
+         algorithm != Algorithm::kSplitterNet;
 }
 
-bool is_delay_kind(AdversaryKind kind) noexcept {
-  return kind == AdversaryKind::kBoundedDelay || kind == AdversaryKind::kGst;
-}
-
-namespace {
-
-core::PathPolicy policy_for(Algorithm algorithm) {
+core::PathPolicy path_policy(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kBallsIntoLeaves:
       return core::PathPolicy::kRandomWeighted;
@@ -86,8 +54,6 @@ core::PathPolicy policy_for(Algorithm algorithm) {
       return core::PathPolicy::kRandomWeighted;
   }
 }
-
-}  // namespace
 
 std::vector<std::unique_ptr<sim::ProcessBase>> make_processes(
     const RunConfig& config,
@@ -126,7 +92,7 @@ std::vector<std::unique_ptr<sim::ProcessBase>> make_processes(
                     .num_names = config.n,
                     .label = label,
                     .seed = seed,
-                    .policy = policy_for(config.algorithm),
+                    .policy = path_policy(config.algorithm),
                     .termination = config.termination,
                     .shape = shape,
                     .observer =
@@ -141,117 +107,31 @@ std::vector<std::unique_ptr<sim::ProcessBase>> make_processes(
 std::unique_ptr<sim::Adversary> make_adversary(
     const AdversarySpec& spec, std::uint32_t n, std::uint64_t run_seed,
     const std::shared_ptr<const tree::TreeShape>& shape) {
-  const std::uint64_t seed =
-      derive_seed(run_seed, core::kSeedDomainAdversary, 0);
-  switch (spec.kind) {
-    case AdversaryKind::kNone:
-      return nullptr;
-    // Delay kinds are schedulers, not crash/corruption adversaries: they
-    // have no sim::Adversary form. make_scheduler is their factory.
-    case AdversaryKind::kBoundedDelay:
-    case AdversaryKind::kGst:
-      BIL_REQUIRE(false,
-                  "delay adversaries assume the DeliveryScheduler role; "
-                  "build them through make_scheduler, not make_adversary");
-      return nullptr;
-    case AdversaryKind::kOblivious:
-      return std::make_unique<sim::ObliviousCrashAdversary>(
-          n,
-          sim::ObliviousCrashAdversary::Options{
-              .crashes = spec.crashes,
-              .horizon_rounds = spec.horizon,
-              .subset_policy = spec.subset},
-          seed);
-    case AdversaryKind::kBurst:
-      return std::make_unique<sim::BurstCrashAdversary>(
-          sim::BurstCrashAdversary::Options{.count = spec.crashes,
-                                            .when = spec.when,
-                                            .subset_policy = spec.subset,
-                                            .lowest_ids = true},
-          seed);
-    case AdversaryKind::kSandwich:
-      // Fire from round 0 (the label exchange) on: the §6 collision pattern
-      // needs the lowest ball to crash *while announcing its label*, so that
-      // half the views count it when computing ranks and half do not.
-      return std::make_unique<sim::SandwichAdversary>(
-          sim::SandwichAdversary::Options{
-              .offset = 0, .period = 1, .per_round = spec.per_round});
-    case AdversaryKind::kEager:
-      return std::make_unique<sim::EagerCrashAdversary>(
-          sim::EagerCrashAdversary::Options{.start_round = spec.when,
-                                            .per_round = spec.per_round,
-                                            .subset_policy = spec.subset},
-          seed);
-    // Protocol-aware kinds below read outboxes — not drivable through
-    // sim::make_schedule_view; the fast path feeds them synthesized round
-    // traffic instead (core/fast_sim_targeted.h).
-    case AdversaryKind::kTargetedWinner:
-    case AdversaryKind::kTargetedAnnouncer: {
-      BIL_REQUIRE(shape != nullptr,
-                  "targeted adversaries require a tree-based algorithm");
-      const auto mode = spec.kind == AdversaryKind::kTargetedWinner
-                            ? core::TargetedCollisionAdversary::Mode::
-                                  kContendedWinner
-                            : core::TargetedCollisionAdversary::Mode::
-                                  kDeepestAnnouncer;
-      return std::make_unique<core::TargetedCollisionAdversary>(
-          shape,
-          core::TargetedCollisionAdversary::Options{
-              .mode = mode,
-              .per_round = spec.per_round,
-              .subset_policy = spec.subset},
-          seed);
-    }
-    // Byzantine kinds draw from their own seed domain so that adding wire
-    // corruption to a run never perturbs a crash schedule it rides on. A
-    // zero budget means nobody corrupts anything: return no adversary at
-    // all, so f = 0 is *literally* the failure-free run (and non-tree
-    // algorithms never trip the shape requirement below).
-    case AdversaryKind::kByzantineBitFlip:
-      if (spec.byzantine == 0) {
-        return nullptr;
-      }
-      // start_round 1: the init round carries identity announcements, which
-      // the paper's model takes as genuine (processes have authentic
-      // distinct original names). A bit-flipped init that happens to decode
-      // with another process's label would be identity theft one level
-      // below even the Byzantine model — the engine authenticates senders,
-      // and labels are the sender-level identities. Rounds >= 1 are fair
-      // game: garbled protocol traffic must be absorbed.
-      return std::make_unique<sim::ByzantineCorruptionAdversary>(
-          sim::ByzantineCorruptionAdversary::Options{
-              .byzantine = spec.byzantine,
-              .start_round = 1,
-              .rounds = spec.byzantine_rounds,
-              .mode = sim::ByzantineCorruptionAdversary::Mode::kMixed},
-          derive_seed(run_seed, core::kSeedDomainByzantine, 0));
-    case AdversaryKind::kByzantineLiar:
-    case AdversaryKind::kByzantineEquivocator: {
-      if (spec.byzantine == 0) {
-        return nullptr;
-      }
-      BIL_REQUIRE(shape != nullptr,
-                  "Byzantine liar adversaries require a tree-based algorithm");
-      const auto mode = spec.kind == AdversaryKind::kByzantineLiar
-                            ? core::ByzantineLiarAdversary::Mode::kConsistentLies
-                            : core::ByzantineLiarAdversary::Mode::kEquivocate;
-      return std::make_unique<core::ByzantineLiarAdversary>(
-          shape,
-          core::ByzantineLiarAdversary::Options{
-              .byzantine = spec.byzantine,
-              .mode = mode,
-              .start_round = 1,
-              .rounds = spec.byzantine_rounds},
-          derive_seed(run_seed, core::kSeedDomainByzantine, 0));
-    }
+  const AdversaryDescriptor& row = adversary_descriptor(spec.kind);
+  // Delay kinds are schedulers, not crash/corruption adversaries: they
+  // have no sim::Adversary form. make_scheduler is their factory.
+  BIL_REQUIRE(row.fault_model != FaultModel::kDelay,
+              "delay adversaries assume the DeliveryScheduler role; "
+              "build them through make_scheduler, not make_adversary");
+  const bool byzantine = row.fault_model == FaultModel::kByzantine;
+  // A zero Byzantine budget means nobody corrupts anything: no adversary at
+  // all, so f = 0 is *literally* the failure-free run (and non-tree
+  // algorithms never trip the liar's shape requirement).
+  if (row.build_adversary == nullptr || (byzantine && spec.byzantine == 0)) {
+    return nullptr;
   }
-  return nullptr;
+  // Byzantine kinds draw from their own seed domain so that adding wire
+  // corruption to a run never perturbs a crash schedule it rides on.
+  const std::uint64_t domain =
+      byzantine ? core::kSeedDomainByzantine : core::kSeedDomainAdversary;
+  return row.build_adversary(spec, n, derive_seed(run_seed, domain, 0), shape);
 }
 
 std::unique_ptr<sim::DeliveryScheduler> make_scheduler(
     const AdversarySpec& spec, std::uint32_t n, std::uint64_t run_seed,
     const std::shared_ptr<const tree::TreeShape>& shape) {
-  if (!is_delay_kind(spec.kind)) {
+  const AdversaryDescriptor& row = adversary_descriptor(spec.kind);
+  if (row.fault_model != FaultModel::kDelay) {
     return std::make_unique<sim::SynchronousScheduler>(
         make_adversary(spec, n, run_seed, shape));
   }
@@ -259,11 +139,8 @@ std::unique_ptr<sim::DeliveryScheduler> make_scheduler(
               "delay adversaries schedule message delivery, not failures: "
               "delay runs are crash-free — drop the "
               "crash/Byzantine budgets or use a synchronous adversary kind");
-  const std::uint64_t seed = derive_seed(run_seed, core::kSeedDomainDelay, 0);
-  if (spec.kind == AdversaryKind::kBoundedDelay) {
-    return std::make_unique<sim::BoundedDelayScheduler>(spec.delay, seed);
-  }
-  return std::make_unique<sim::GstScheduler>(spec.delay, seed);
+  return row.build_scheduler(spec.delay,
+                             derive_seed(run_seed, core::kSeedDomainDelay, 0));
 }
 
 RunSummary run_renaming(const RunConfig& config) {
@@ -273,10 +150,7 @@ RunSummary run_renaming(const RunConfig& config) {
               "gossip_t must be kWaitFree or a crash budget t <= n-1 (t < n: "
               "at least one process survives)");
 
-  const bool tree_based = config.algorithm == Algorithm::kBallsIntoLeaves ||
-                          config.algorithm == Algorithm::kEarlyTerminating ||
-                          config.algorithm == Algorithm::kRankDescent ||
-                          config.algorithm == Algorithm::kHalving;
+  const bool tree_based = is_tree_based(config.algorithm);
   const bool byzantine = config.adversary.byzantine > 0;
   if (byzantine) {
     BIL_REQUIRE(tree_based,

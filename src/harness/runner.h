@@ -11,7 +11,8 @@
 
 #include "core/balls_into_leaves.h"
 #include "core/observer.h"
-#include "sim/adversaries.h"
+#include "core/policy.h"
+#include "harness/adversary_table.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 
@@ -41,71 +42,14 @@ enum class Algorithm : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Algorithm algorithm) noexcept;
 
-/// Which crash strategy attacks the run.
-enum class AdversaryKind : std::uint8_t {
-  kNone,
-  kOblivious,
-  kBurst,
-  kSandwich,
-  kEager,
-  /// core::TargetedCollisionAdversary, kContendedWinner mode.
-  kTargetedWinner,
-  /// core::TargetedCollisionAdversary, kDeepestAnnouncer mode.
-  kTargetedAnnouncer,
-  // -- Byzantine (wire-corruption) kinds: rewrite outgoing traffic instead
-  // of crashing. The faulty processes run honest code; see
-  // sim::CorruptionPlan for the fault model.
-  /// sim::ByzantineCorruptionAdversary — bit-flips / truncations; garbled
-  /// payloads fail to decode, so the sender merely looks silent.
-  kByzantineBitFlip,
-  /// core::ByzantineLiarAdversary, kConsistentLies: phantom leaf occupancy.
-  kByzantineLiar,
-  /// core::ByzantineLiarAdversary, kEquivocate: per-recipient contradictory
-  /// claims. Cap with AdversarySpec::byzantine_rounds (see the adversary's
-  /// header for why unbounded equivocation can postpone termination).
-  kByzantineEquivocator,
-  // -- Delay (timing) kinds: the adversary assumes the DeliveryScheduler
-  // role (sim/scheduler.h) and attacks *when* messages arrive instead of
-  // crashing or corrupting. Async-only and crash-free by contract
-  // (make_scheduler rejects mixing a delay kind with crash or Byzantine
-  // budgets).
-  /// sim::BoundedDelayScheduler — every batch delayed uniformly in
-  /// [1, delay.max_delay] ticks. max_delay = 1 is bit-identical to the
-  /// synchronous run.
-  kBoundedDelay,
-  /// sim::GstScheduler — partial synchrony: delays bounded by
-  /// delay.max_delay before tick delay.gst, exactly one tick after it.
-  kGst,
-};
+/// True for the tree-descent algorithms: BallsIntoLeavesProcess under a
+/// path policy. Only they share a tree::TreeShape, carry the Byzantine
+/// validation layer, and have a single-view fast simulation.
+[[nodiscard]] bool is_tree_based(Algorithm algorithm) noexcept;
 
-[[nodiscard]] const char* to_string(AdversaryKind kind) noexcept;
-
-struct AdversarySpec {
-  AdversaryKind kind = AdversaryKind::kNone;
-  /// Crash budget t (and the planned crash count for oblivious/burst).
-  std::uint32_t crashes = 0;
-  /// Burst round.
-  sim::RoundNumber when = 1;
-  /// Oblivious crash-round horizon.
-  sim::RoundNumber horizon = 8;
-  /// Victims per firing round (sandwich/eager/targeted).
-  std::uint32_t per_round = 1;
-  sim::SubsetPolicy subset = sim::SubsetPolicy::kRandomHalf;
-  /// Byzantine budget f for the kByzantine* kinds: processes 0..f-1 have
-  /// their outgoing wire traffic rewritten. Requires a tree-based algorithm
-  /// (the validation layer lives in BallsIntoLeavesProcess) and forbids
-  /// TerminationMode::kEagerLeaf (a forged leaf claim could force a
-  /// premature, conflicting decision). Seeded from kSeedDomainByzantine, so
-  /// combining with a crash budget never perturbs the crash schedule.
-  std::uint32_t byzantine = 0;
-  /// Corrupting-round budget for kByzantine* kinds; 0 = every round. The
-  /// equivocator should set this (see AdversaryKind::kByzantineEquivocator).
-  sim::RoundNumber byzantine_rounds = 0;
-  /// Timing knobs for the delay kinds (kBoundedDelay / kGst): delay bound,
-  /// GST tick, and the on_timeout budget. Ignored by the synchronous kinds.
-  /// The defaults describe lock-step timing (max_delay = 1, no timeouts).
-  sim::DelaySpec delay;
-};
+/// The candidate-path policy of a tree-based algorithm; throws
+/// ContractViolation for the baselines.
+[[nodiscard]] core::PathPolicy path_policy(Algorithm algorithm);
 
 /// Sentinel for RunConfig::gossip_t: resolve t to n-1 (tolerate every
 /// process but one crashing — the wait-free setting).
@@ -172,19 +116,16 @@ struct RunSummary {
     const std::shared_ptr<const tree::TreeShape>& shape,
     core::RecordingObserver* observer = nullptr);
 
-/// Builds the adversary a run with this spec would face: the factory
-/// run_renaming itself uses, exposed so the crash-capable fast simulator
+/// Builds the adversary a run with this spec would face — the kind's
+/// table row's factory, which run_renaming itself uses — exposed so the crash-capable fast simulator
 /// can replay the *identical* object (same construction-time victim/round
 /// draws from derive_seed(run_seed, kSeedDomainAdversary, 0), same subset
 /// RNG stream) against its symbolic execution. Returns null for kNone.
-/// `shape` is only consulted by the protocol-aware targeted kinds.
+/// `shape` is only consulted by the protocol-aware (targeted and liar)
+/// kinds. Rejects the delay kinds, which make_scheduler builds.
 [[nodiscard]] std::unique_ptr<sim::Adversary> make_adversary(
     const AdversarySpec& spec, std::uint32_t n, std::uint64_t run_seed,
     const std::shared_ptr<const tree::TreeShape>& shape = nullptr);
-
-/// True for the timing kinds (kBoundedDelay / kGst) that schedule delivery
-/// ticks instead of carrying a crash/corruption adversary.
-[[nodiscard]] bool is_delay_kind(AdversaryKind kind) noexcept;
 
 /// Builds the sim::DeliveryScheduler a run with this spec executes under —
 /// the factory run_renaming itself uses. Delay kinds become the matching

@@ -6,7 +6,6 @@
 #include "baselines/splitter_net.h"
 #include "core/fast_sim_crash.h"
 #include "core/fast_sim_targeted.h"
-#include "core/policy.h"
 #include "search/genome_adversary.h"
 #include "sim/engine.h"
 #include "tree/shape.h"
@@ -40,62 +39,29 @@ Objective parse_objective(std::string_view name) {
 
 namespace {
 
-bool is_tree(harness::Algorithm algorithm) {
-  return algorithm == harness::Algorithm::kBallsIntoLeaves ||
-         algorithm == harness::Algorithm::kEarlyTerminating ||
-         algorithm == harness::Algorithm::kRankDescent ||
-         algorithm == harness::Algorithm::kHalving;
-}
-
-core::PathPolicy policy_for(harness::Algorithm algorithm) {
-  switch (algorithm) {
-    case harness::Algorithm::kBallsIntoLeaves:
-      return core::PathPolicy::kRandomWeighted;
-    case harness::Algorithm::kEarlyTerminating:
-      return core::PathPolicy::kEarlyTerminating;
-    case harness::Algorithm::kRankDescent:
-      return core::PathPolicy::kRankedSlack;
-    case harness::Algorithm::kHalving:
-      return core::PathPolicy::kHalvingSplit;
-    default:
-      BIL_REQUIRE(false, "algorithm has no path policy");
-      return core::PathPolicy::kRandomWeighted;
-  }
-}
-
-/// The standard api::FastSimBackend holds fast-sim names to: every
-/// survivor decided, names unique and within the tight 1..n namespace.
-void validate_fast_names(const std::vector<std::uint64_t>& names,
-                         std::uint32_t n, std::uint32_t crashes) {
-  std::vector<bool> used(n + 1, false);
-  std::uint32_t undecided = 0;
-  for (const std::uint64_t name : names) {
-    if (name == 0) {
-      ++undecided;
-      continue;
-    }
-    BIL_ENSURE(name <= n, "searched genome produced a name out of range");
-    BIL_ENSURE(!used[name], "searched genome produced a duplicate name");
-    used[name] = true;
-  }
-  BIL_ENSURE(undecided == crashes,
-             "searched genome left a correct ball without a name");
+/// How the fast sim replays the genome: schedule replay for its own crash
+/// schedule, else its registered kind's route.
+harness::FastSimRoute fast_sim_route(const ScheduleGenome& genome) {
+  return genome.mode == harness::AdversaryKind::kNone
+             ? harness::FastSimRoute::kScheduleReplay
+             : harness::adversary_descriptor(genome.mode).route;
 }
 
 EvalOutcome evaluate_fast(const ScheduleGenome& genome) {
-  const bool targeted = genome.mode != GenomeMode::kSchedule;
+  const bool oracle =
+      fast_sim_route(genome) == harness::FastSimRoute::kTrafficOracle;
   const std::unique_ptr<sim::Adversary> adversary = make_genome_adversary(
-      genome, targeted ? tree::TreeShape::make(genome.n) : nullptr);
+      genome, oracle ? tree::TreeShape::make(genome.n) : nullptr);
   core::CrashFastSimOptions options;
   options.n = genome.n;
   options.seed = genome.run_seed;
-  options.policy = policy_for(genome.algorithm);
+  options.policy = harness::path_policy(genome.algorithm);
   options.max_crashes = genome.budget;
   const core::CrashFastSimResult result =
-      targeted ? core::run_fast_sim_targeted(options, adversary.get())
-               : core::run_fast_sim_crash(options, adversary.get());
+      oracle ? core::run_fast_sim_targeted(options, adversary.get())
+             : core::run_fast_sim_crash(options, adversary.get());
   BIL_ENSURE(result.completed, "fast-path genome run hit its round cap");
-  validate_fast_names(result.names, genome.n, result.crashes);
+  core::validate_fast_names(result.names, genome.n, result.crashes);
   EvalOutcome outcome;
   outcome.completed = result.completed;
   outcome.rounds = result.rounds;
@@ -117,12 +83,12 @@ EvalOutcome evaluate_engine(const ScheduleGenome& genome) {
   config.adversary.crashes = genome.budget;
   config.adversary.byzantine = genome.byzantine;
   if (genome.byzantine > 0) {
-    BIL_REQUIRE(is_tree(genome.algorithm),
+    BIL_REQUIRE(harness::is_tree_based(genome.algorithm),
                 "Byzantine genome windows require a tree-based algorithm "
                 "(the validation layer lives in the tree processes)");
   }
   std::shared_ptr<const tree::TreeShape> shape;
-  if (is_tree(genome.algorithm)) {
+  if (harness::is_tree_based(genome.algorithm)) {
     shape = tree::TreeShape::make(genome.n);
   }
   sim::Engine engine(
@@ -154,7 +120,8 @@ EvalOutcome evaluate_engine(const ScheduleGenome& genome) {
 }  // namespace
 
 bool fast_sim_capable(const ScheduleGenome& genome) {
-  return is_tree(genome.algorithm) && genome.byzantine == 0;
+  return harness::is_tree_based(genome.algorithm) && genome.byzantine == 0 &&
+         fast_sim_route(genome) != harness::FastSimRoute::kEngineOnly;
 }
 
 EvalOutcome evaluate(const ScheduleGenome& genome, const EvalOptions& options) {

@@ -3,7 +3,7 @@
 // Routing mirrors BackendKind::kAuto (api/backend.h): candidates whose
 // attack is symbolically replayable — tree algorithm, no Byzantine window —
 // run on the fast backends at or above `fast_sim_min_n`
-// (core::run_fast_sim_crash for kSchedule genomes, run_fast_sim_targeted
+// (core::run_fast_sim_crash for schedule-mode genomes, run_fast_sim_targeted
 // for the targeted modes), which is what makes thousands of evaluations
 // per search budget feasible; everything else takes the exact engine. The
 // two executors are bit-identical on the shared domain
@@ -58,7 +58,8 @@ struct EvalOutcome {
 };
 
 /// True when the genome's attack has an exact symbolic replay (tree-based
-/// algorithm, no Byzantine window) — the precondition for the fast path.
+/// algorithm, no Byzantine window, and for a targeted mode a registered
+/// kind with a fast-sim route) — the precondition for the fast path.
 [[nodiscard]] bool fast_sim_capable(const ScheduleGenome& genome);
 
 /// Runs the genome to completion and validates the renaming properties

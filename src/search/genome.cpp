@@ -35,16 +35,9 @@ harness::Algorithm parse_algorithm_name(std::string_view name) {
 
 }  // namespace
 
-const char* to_string(GenomeMode mode) noexcept {
-  switch (mode) {
-    case GenomeMode::kSchedule:
-      return "schedule";
-    case GenomeMode::kTargetedWinner:
-      return "targeted-winner";
-    case GenomeMode::kTargetedAnnouncer:
-      return "targeted-announcer";
-  }
-  return "unknown";
+const char* genome_mode_name(harness::AdversaryKind mode) noexcept {
+  return mode == harness::AdversaryKind::kNone ? "schedule"
+                                                : harness::to_string(mode);
 }
 
 const char* to_string(sim::SubsetPolicy policy) noexcept {
@@ -74,18 +67,23 @@ sim::SubsetPolicy parse_subset_policy(std::string_view name) {
   return sim::SubsetPolicy::kSilent;
 }
 
-GenomeMode parse_genome_mode(std::string_view name) {
-  for (const GenomeMode mode :
-       {GenomeMode::kSchedule, GenomeMode::kTargetedWinner,
-        GenomeMode::kTargetedAnnouncer}) {
-    if (name == to_string(mode)) {
-      return mode;
-    }
+harness::AdversaryKind parse_genome_mode(std::string_view name) {
+  if (name == "schedule") {
+    return harness::AdversaryKind::kNone;
   }
-  BIL_REQUIRE(false,
-              "unknown genome mode '" + std::string(name) +
-                  "' (expected schedule|targeted-winner|targeted-announcer)");
-  return GenomeMode::kSchedule;
+  std::string expected = "schedule";
+  for (const harness::AdversaryDescriptor& row : harness::adversary_table()) {
+    if (row.route != harness::FastSimRoute::kTrafficOracle) {
+      continue;
+    }
+    if (row.name == name) {
+      return row.kind;
+    }
+    expected.append("|").append(row.name);
+  }
+  BIL_REQUIRE(false, "unknown genome mode '" + std::string(name) +
+                         "' (expected " + expected + ")");
+  return harness::AdversaryKind::kNone;
 }
 
 std::string to_json(const GenomeRecord& record) {
@@ -97,7 +95,7 @@ std::string to_json(const GenomeRecord& record) {
       << "  \"n\": " << genome.n << ",\n"
       << "  \"run_seed\": " << genome.run_seed << ",\n"
       << "  \"budget\": " << genome.budget << ",\n"
-      << "  \"mode\": \"" << to_string(genome.mode) << "\",\n"
+      << "  \"mode\": \"" << genome_mode_name(genome.mode) << "\",\n"
       << "  \"crashes\": [";
   for (std::size_t i = 0; i < genome.crashes.size(); ++i) {
     const CrashGene& gene = genome.crashes[i];

@@ -46,20 +46,6 @@ struct CrashGene {
   sim::SubsetPolicy subset = sim::SubsetPolicy::kAlternating;
 };
 
-/// Which adversary machinery executes the genome.
-enum class GenomeMode : std::uint8_t {
-  /// Explicit crash schedule, replayed by GenomeScheduleAdversary
-  /// (schedule-only — fast-sim capable).
-  kSchedule,
-  /// core::TargetedCollisionAdversary, kContendedWinner, driven by the
-  /// genome's per_round/subset/budget knobs (traffic-oracle fast path).
-  kTargetedWinner,
-  /// core::TargetedCollisionAdversary, kDeepestAnnouncer.
-  kTargetedAnnouncer,
-};
-
-[[nodiscard]] const char* to_string(GenomeMode mode) noexcept;
-
 /// A complete, self-contained attack description. Everything needed to
 /// reproduce the run is in the genome: algorithm, n, run seed, and the
 /// attack itself.
@@ -74,10 +60,15 @@ struct ScheduleGenome {
   /// carry more genes than the budget; excess genes are inert, which keeps
   /// the mutation kernel simple.
   std::uint32_t budget = 0;
-  GenomeMode mode = GenomeMode::kSchedule;
-  /// kSchedule mode: the crash events, in any order (sorted at replay).
+  /// Which adversary executes the genome. kNone (JSON "schedule"): the
+  /// explicit crash schedule `crashes`, replayed by GenomeScheduleAdversary
+  /// (schedule-only — fast-sim capable). Otherwise a registered kind on the
+  /// traffic-oracle route ("targeted-winner", "targeted-announcer"), built
+  /// from the genome's per_round/subset knobs and its budget.
+  harness::AdversaryKind mode = harness::AdversaryKind::kNone;
+  /// Schedule mode: the crash events, in any order (sorted at replay).
   std::vector<CrashGene> crashes;
-  /// Targeted modes: victims per firing round and the delivery subset.
+  /// Registered modes: victims per firing round and the delivery subset.
   std::uint32_t per_round = 1;
   sim::SubsetPolicy subset = sim::SubsetPolicy::kRandomHalf;
   /// Optional Byzantine window riding on top of the crash schedule
@@ -93,7 +84,12 @@ struct ScheduleGenome {
 /// "random-half" | "all"); parse_subset_policy inverts it.
 [[nodiscard]] const char* to_string(sim::SubsetPolicy policy) noexcept;
 [[nodiscard]] sim::SubsetPolicy parse_subset_policy(std::string_view name);
-[[nodiscard]] GenomeMode parse_genome_mode(std::string_view name);
+
+/// The genome JSON name of a mode: "schedule" for kNone, else the kind's
+/// name. parse_genome_mode inverts it, accepting "schedule" and the
+/// traffic-oracle kinds of the adversary table.
+[[nodiscard]] const char* genome_mode_name(harness::AdversaryKind mode) noexcept;
+[[nodiscard]] harness::AdversaryKind parse_genome_mode(std::string_view name);
 
 /// Serializes the genome (plus an optional recorded outcome, see
 /// GenomeRecord) as a self-describing JSON document.

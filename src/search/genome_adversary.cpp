@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/seeds.h"
-#include "core/targeted_adversary.h"
+#include "harness/runner.h"
 #include "sim/adversaries.h"
 #include "tree/shape.h"
 #include "util/contract.h"
@@ -84,32 +84,16 @@ class ByzantineOverlayAdversary final : public sim::Adversary {
 std::unique_ptr<sim::Adversary> make_genome_adversary(
     const ScheduleGenome& genome,
     const std::shared_ptr<const tree::TreeShape>& shape) {
-  const std::uint64_t seed =
-      derive_seed(genome.run_seed, core::kSeedDomainAdversary, 0);
   std::unique_ptr<sim::Adversary> adversary;
-  switch (genome.mode) {
-    case GenomeMode::kSchedule:
-      if (!genome.crashes.empty() && genome.budget > 0) {
-        adversary = std::make_unique<GenomeScheduleAdversary>(genome, seed);
-      }
-      break;
-    case GenomeMode::kTargetedWinner:
-    case GenomeMode::kTargetedAnnouncer: {
-      BIL_REQUIRE(shape != nullptr,
-                  "targeted genome modes require a tree-based algorithm");
-      const auto mode =
-          genome.mode == GenomeMode::kTargetedWinner
-              ? core::TargetedCollisionAdversary::Mode::kContendedWinner
-              : core::TargetedCollisionAdversary::Mode::kDeepestAnnouncer;
-      adversary = std::make_unique<core::TargetedCollisionAdversary>(
-          shape,
-          core::TargetedCollisionAdversary::Options{
-              .mode = mode,
-              .per_round = genome.per_round,
-              .subset_policy = genome.subset},
-          seed);
-      break;
-    }
+  if (genome.mode != harness::AdversaryKind::kNone) {
+    adversary = harness::make_adversary({.kind = genome.mode,
+                                         .per_round = genome.per_round,
+                                         .subset = genome.subset,
+                                         .delay = {}},
+                                        genome.n, genome.run_seed, shape);
+  } else if (!genome.crashes.empty() && genome.budget > 0) {
+    adversary = std::make_unique<GenomeScheduleAdversary>(
+        genome, derive_seed(genome.run_seed, core::kSeedDomainAdversary, 0));
   }
   if (genome.byzantine > 0) {
     // Same construction as harness::make_adversary's bitflip kind: start at

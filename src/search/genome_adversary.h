@@ -1,4 +1,4 @@
-// Schedule-only replay of a kSchedule-mode genome.
+// Schedule-only replay of a schedule-mode genome.
 //
 // The adversary honours the schedule-only contract of sim/adversaries.h: it
 // reads only round(), alive(), crash_budget_remaining() and its own seeded
@@ -38,10 +38,11 @@ class GenomeScheduleAdversary final : public sim::Adversary {
   Rng rng_;
 };
 
-/// Builds the adversary a genome describes, mirroring
-/// harness::make_adversary's seeding exactly: kSchedule genomes get a
-/// GenomeScheduleAdversary, targeted genomes the registered
-/// core::TargetedCollisionAdversary (which needs the tree `shape`), and a
+/// Builds the adversary a genome describes, with harness::make_adversary's
+/// seeding: schedule-mode genomes get a GenomeScheduleAdversary, the others
+/// their registered kind built by harness::make_adversary from
+/// {kind, per_round, subset} (the targeted kinds need the tree `shape`),
+/// and a
 /// genome with a Byzantine window gets a composite that overlays wire
 /// corruption (engine-only) on the crash schedule. Returns null when the
 /// genome attacks nothing (no genes within budget, no corruption).

@@ -87,7 +87,7 @@ ScheduleGenome random_genome(const SearchConfig& config,
   genome.run_seed = config.run_seed;
   genome.budget = config.budget;
   genome.mode = config.mode;
-  if (config.mode == GenomeMode::kSchedule) {
+  if (config.mode == harness::AdversaryKind::kNone) {
     const std::uint32_t genes =
         config.budget == 0
             ? 0
@@ -126,7 +126,7 @@ ScheduleGenome mutate(const ScheduleGenome& parent, const SearchConfig& config,
     }
     return child;
   }
-  if (config.mode != GenomeMode::kSchedule) {
+  if (config.mode != harness::AdversaryKind::kNone) {
     if (rng.below(2) == 0) {
       child.per_round =
           static_cast<std::uint32_t>(rng.between(1, per_round_cap(config)));

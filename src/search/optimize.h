@@ -41,7 +41,7 @@ struct SearchConfig {
   std::uint64_t run_seed = 1;
   /// Crash budget t; genomes never exceed it.
   std::uint32_t budget = 0;
-  GenomeMode mode = GenomeMode::kSchedule;
+  harness::AdversaryKind mode = harness::AdversaryKind::kNone;
   Objective objective = Objective::kRounds;
   /// Total candidate evaluations (both optimizers consume exactly this).
   std::uint32_t evaluations = 200;

@@ -17,12 +17,13 @@
 // the schedule-only set and must instead be driven through synthesized
 // traffic (sim/oracle_view.h), as the targeted adversaries are — an
 // adversary that introspects process() internals has no symbolic replay at
-// all and must clear api::AdversaryInfo::fast_sim_capable.
+// all and must take the FastSimRoute::kEngineOnly route in its row of the
+// adversary table (src/harness/adversary_table.h).
 //
 // The Byzantine family is the deliberate exception: corruption rewrites
 // materialized wire traffic per recipient (CorruptionPlan), so every
 // Byzantine strategy reads outboxes by construction and is engine-only
-// (fast_sim_capable = false in the registry). The wire-level
+// (route kEngineOnly in the adversary table). The wire-level
 // ByzantineCorruptionAdversary lives below; the protocol-aware liar and
 // equivocator (which forge structurally valid BiL messages) live in
 // src/core/byzantine_adversary.h next to the message codecs, mirroring the

@@ -310,9 +310,9 @@ TEST(AsyncLayers, RegistryAndFastSimDiagnostics) {
   for (harness::AdversaryKind kind : {harness::AdversaryKind::kBoundedDelay,
                                       harness::AdversaryKind::kGst}) {
     const api::AdversaryInfo& info = api::adversary_info(kind);
-    EXPECT_EQ(info.fault_model, "delay");
-    EXPECT_EQ(info.timing, "async-only");
-    EXPECT_FALSE(info.fast_sim_capable);
+    EXPECT_EQ(info.fault_model, harness::FaultModel::kDelay);
+    EXPECT_EQ(info.timing(), "async-only");
+    EXPECT_FALSE(info.fast_sim_capable());
 
     api::CellConfig cell;
     cell.n = 64;
@@ -323,7 +323,8 @@ TEST(AsyncLayers, RegistryAndFastSimDiagnostics) {
     EXPECT_EQ(api::select_backend(cell), api::BackendKind::kEngine);
   }
   // The synchronous kinds keep timing "sync".
-  EXPECT_EQ(api::adversary_info(harness::AdversaryKind::kNone).timing, "sync");
+  EXPECT_EQ(api::adversary_info(harness::AdversaryKind::kNone).timing(),
+            "sync");
 }
 
 }  // namespace

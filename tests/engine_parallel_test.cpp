@@ -179,7 +179,7 @@ TEST(EngineParallel, EveryAlgorithmEveryAdversaryIsThreadCountInvariant) {
           adversary.kind == harness::AdversaryKind::kEager ||
           adversary.kind == harness::AdversaryKind::kTargetedWinner ||
           adversary.kind == harness::AdversaryKind::kTargetedAnnouncer ||
-          adversary.fault_model == "byzantine";
+          adversary.fault_model == harness::FaultModel::kByzantine;
       if (tree_only && !algorithm.fast_sim_capable) {
         continue;  // tree adversaries require a tree-based algorithm
       }

@@ -11,7 +11,6 @@
 // the result prints as an aligned table, CSV, or JSON. Algorithm and
 // adversary names come from the api registry — the same tables that back
 // --list-algorithms / --list-adversaries.
-#include <algorithm>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -64,25 +63,20 @@ void list_algorithms_table(std::ostream& os) {
 /// spelled out per entry (the byzantine kinds need --backend engine).
 void list_adversaries_grouped(std::ostream& os) {
   os << "registered adversaries:\n";
-  std::vector<std::string> fault_models;
-  for (const api::AdversaryInfo& info : api::adversary_registry()) {
-    if (std::find(fault_models.begin(), fault_models.end(),
-                  info.fault_model) == fault_models.end()) {
-      fault_models.push_back(info.fault_model);
-    }
-  }
-  for (const std::string& model : fault_models) {
-    os << "\nfault model: " << model << '\n';
+  for (const harness::FaultModel model :
+       {harness::FaultModel::kCrash, harness::FaultModel::kByzantine,
+        harness::FaultModel::kDelay}) {
+    os << "\nfault model: " << harness::to_string(model) << '\n';
     for (const api::AdversaryInfo& info : api::adversary_registry()) {
       if (info.fault_model != model) {
         continue;
       }
       os << "  " << info.name;
-      for (const std::string& alias : info.aliases) {
+      for (const char* alias : info.aliases) {
         os << " (" << alias << ')';
       }
-      os << "  [timing: " << info.timing << "; fast-sim: "
-         << (info.fast_sim_capable ? "yes" : "no — engine only") << "]\n"
+      os << "  [timing: " << info.timing() << "; fast-sim: "
+         << (info.fast_sim_capable() ? "yes" : "no — engine only") << "]\n"
          << "      " << info.description << '\n';
     }
   }
@@ -354,15 +348,25 @@ int main(int argc, char** argv) {
         adversary = "bounded-delay";
       }
     }
-    // The delay adversaries' spec factories read only the delay knobs, so a
-    // crash or byzantine budget would vanish silently — reject it instead.
-    if (harness::is_delay_kind(api::parse_adversary(adversary).kind)) {
-      BIL_REQUIRE(crashes == 0 && byzantine == 0,
-                  "the delay adversaries schedule message delivery on a "
-                  "failure-free run — drop --crashes/--byzantine or pick a "
-                  "crash/byzantine adversary");
-    }
-    spec.adversaries = {api::parse_adversary(adversary).make(
+    // A budget the chosen kind does not read would vanish silently from
+    // the run — reject it instead, naming the flag.
+    const api::AdversaryInfo& chosen = api::parse_adversary(adversary);
+    const auto require_read = [&chosen](bool given, bool read,
+                                        const char* flag) {
+      BIL_REQUIRE(!given || read,
+                  std::string(flag) + " is not read by adversary '" +
+                      chosen.name +
+                      "' — drop it or pick an adversary that reads it "
+                      "(see --list-adversaries)");
+    };
+    require_read(crashes != 0, chosen.reads.crashes, "--crashes");
+    require_read(byzantine != 0, chosen.reads.byzantine, "--byzantine");
+    require_read(byzantine_rounds != 0, chosen.reads.byzantine_rounds,
+                 "--byzantine-rounds");
+    require_read(delay != 0, chosen.reads.max_delay, "--delay");
+    require_read(gst != 0, chosen.reads.gst, "--gst");
+    require_read(timeout != 0, chosen.reads.timeout, "--timeout");
+    spec.adversaries = {chosen.make(
         api::AdversaryKnobs{.crashes = crashes,
                             .when = burst_round,
                             .horizon = horizon,
