@@ -117,10 +117,11 @@ struct RunSummary {
     core::RecordingObserver* observer = nullptr);
 
 /// Builds the adversary a run with this spec would face — the kind's
-/// table row's factory, which run_renaming itself uses — exposed so the crash-capable fast simulator
-/// can replay the *identical* object (same construction-time victim/round
-/// draws from derive_seed(run_seed, kSeedDomainAdversary, 0), same subset
-/// RNG stream) against its symbolic execution. Returns null for kNone.
+/// table row's factory, which run_renaming itself uses — exposed so the
+/// crash-capable fast simulator can replay the *identical* object (same
+/// construction-time victim/round draws from derive_seed(run_seed,
+/// kSeedDomainAdversary, 0), same subset RNG stream) against its symbolic
+/// execution. Returns null for kNone and for a zero Byzantine budget.
 /// `shape` is only consulted by the protocol-aware (targeted and liar)
 /// kinds. Rejects the delay kinds, which make_scheduler builds.
 [[nodiscard]] std::unique_ptr<sim::Adversary> make_adversary(

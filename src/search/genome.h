@@ -88,7 +88,8 @@ struct ScheduleGenome {
 /// The genome JSON name of a mode: "schedule" for kNone, else the kind's
 /// name. parse_genome_mode inverts it, accepting "schedule" and the
 /// traffic-oracle kinds of the adversary table.
-[[nodiscard]] const char* genome_mode_name(harness::AdversaryKind mode) noexcept;
+[[nodiscard]] const char* genome_mode_name(
+    harness::AdversaryKind mode) noexcept;
 [[nodiscard]] harness::AdversaryKind parse_genome_mode(std::string_view name);
 
 /// Serializes the genome (plus an optional recorded outcome, see

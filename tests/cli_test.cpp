@@ -3,9 +3,9 @@
 // adversary does not read is rejected by name instead of being dropped
 // from the run.
 //
-// The fixtures (tests/fixtures/list_*.txt) pin the listings the registry
-// printed before the adversary table replaced it; regenerate them only for
-// a deliberate change to a kind's name, alias, description or columns.
+// The fixtures (tests/fixtures/list_*.txt) pin the listing text exactly;
+// regenerate them only for a deliberate change to a name, alias,
+// description or column.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
