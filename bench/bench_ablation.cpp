@@ -27,7 +27,7 @@
 
 #include "bench_common.h"
 #include "core/balls_into_leaves.h"
-#include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "core/seeds.h"
 #include "sim/adversaries.h"
 #include "sim/engine.h"
@@ -45,14 +45,17 @@ void coin_weighting_ablation() {
     const std::uint32_t n = 1u << exp;
     double weighted = 0;
     double uniform = 0;
+    // Phases to completion: one init round, then two rounds per phase.
+    const auto phases = [n](core::PathPolicy policy, std::uint64_t seed) {
+      return (core::run_fast_sim_crash(
+                  {.n = n, .seed = seed, .policy = policy}, nullptr)
+                  .total_rounds -
+              1) /
+             2;
+    };
     for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
-      core::FastSimOptions options;
-      options.n = n;
-      options.seed = seed;
-      options.policy = core::PathPolicy::kRandomWeighted;
-      weighted += core::run_fast_sim(options).phases;
-      options.policy = core::PathPolicy::kRandomUniform;
-      uniform += core::run_fast_sim(options).phases;
+      weighted += phases(core::PathPolicy::kRandomWeighted, seed);
+      uniform += phases(core::PathPolicy::kRandomUniform, seed);
     }
     table.add_row({stats::fmt_int(n), stats::fmt_fixed(weighted / kSeeds, 2),
                    stats::fmt_fixed(uniform / kSeeds, 2),

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "stats/binomial.h"
 
 namespace {
@@ -24,15 +24,15 @@ void decay_table(std::uint32_t n, std::uint32_t seeds) {
   // up to the longest).
   std::vector<std::vector<double>> per_phase_bmax;
   for (std::uint32_t seed = 1; seed <= seeds; ++seed) {
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = seed;
-    const auto result = core::run_fast_sim(options);
-    for (std::size_t p = 0; p < result.per_phase.size(); ++p) {
+    core::RecordingObserver observer;
+    (void)core::run_fast_sim_crash(
+        {.n = n, .seed = seed, .observer = &observer}, nullptr);
+    const std::vector<core::PhaseSnapshot>& snapshots = observer.snapshots();
+    for (std::size_t p = 0; p < snapshots.size(); ++p) {
       if (per_phase_bmax.size() <= p) {
         per_phase_bmax.emplace_back();
       }
-      per_phase_bmax[p].push_back(result.per_phase[p].bmax);
+      per_phase_bmax[p].push_back(snapshots[p].bmax);
     }
   }
   stats::Table table({"phase", "bmax(mean)", "bmax(max)", "lemma4 bound(c=3)",

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "api/backend.h"
-#include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "core/messages.h"
 #include "core/policy.h"
 #include "harness/runner.h"
@@ -91,10 +91,9 @@ void BM_FastSimFullRun(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = seed++;
-    benchmark::DoNotOptimize(core::run_fast_sim(options).phases);
+    benchmark::DoNotOptimize(
+        core::run_fast_sim_crash({.n = n, .seed = seed++}, nullptr)
+            .total_rounds);
   }
   state.SetComplexityN(n);
 }

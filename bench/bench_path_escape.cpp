@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 
 namespace {
 
@@ -21,17 +21,17 @@ void escape_table(std::uint32_t n, std::uint32_t seeds) {
   std::vector<std::vector<double>> path_load;   // [phase][seed]
   std::vector<std::vector<double>> inner_balls; // [phase][seed]
   for (std::uint32_t seed = 1; seed <= seeds; ++seed) {
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = seed;
-    const auto result = core::run_fast_sim(options);
-    for (std::size_t p = 0; p < result.per_phase.size(); ++p) {
+    core::RecordingObserver observer;
+    (void)core::run_fast_sim_crash(
+        {.n = n, .seed = seed, .observer = &observer}, nullptr);
+    const std::vector<core::PhaseSnapshot>& snapshots = observer.snapshots();
+    for (std::size_t p = 0; p < snapshots.size(); ++p) {
       if (path_load.size() <= p) {
         path_load.emplace_back();
         inner_balls.emplace_back();
       }
-      path_load[p].push_back(result.per_phase[p].max_path_load);
-      inner_balls[p].push_back(result.per_phase[p].balls_inner);
+      path_load[p].push_back(snapshots[p].max_path_load);
+      inner_balls[p].push_back(snapshots[p].balls_inner);
     }
   }
   stats::Table table({"phase", "worst path load (mean)", "(max)",

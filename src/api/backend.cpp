@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "api/registry.h"
-#include "core/fast_sim.h"
 #include "core/fast_sim_crash.h"
 #include "core/fast_sim_targeted.h"
 #include "tree/shape.h"
@@ -60,47 +59,26 @@ RunRecord FastSimBackend::run(const CellConfig& cell,
   BIL_REQUIRE(incompatibility.empty(), incompatibility);
   RunRecord record;
   record.seed = seed;
-  // Payloads are never materialized on either fast path; byte counts are
+  // Payloads are never materialized on the fast path; byte counts are
   // absent (JSON null), never fake zeros.
   record.bytes_measured = false;
-  const core::PathPolicy policy = algorithm_info(cell.algorithm).policy;
-  const harness::FastSimRoute route = adversary_info(cell.adversary.kind).route;
 
-  if (route == harness::FastSimRoute::kCrashFree) {
-    core::FastSimOptions options;
-    options.n = cell.n;
-    options.seed = seed;
-    options.policy = policy;
-    const core::FastSimResult result = core::run_fast_sim(options);
-    BIL_ENSURE(result.completed, "fast sim hit its phase cap");
-    core::validate_fast_names(result.names, cell.n, 0);
-    record.rounds = result.rounds();
-    record.total_rounds = result.rounds();
-    // Crash-free all-broadcast protocol: every round each of the n
-    // processes broadcasts once and all n receive (processes halt only
-    // after the final delivery), so the engine would have measured exactly
-    // n² deliveries per round.
-    record.messages_delivered = static_cast<std::uint64_t>(cell.n) * cell.n *
-                                record.total_rounds;
-    record.names = result.names;
-    return record;
-  }
-
-  // Crash cell: replay the exact adversary object the engine harness would
-  // construct for this (spec, n, seed), so victim choices, crash rounds and
-  // delivery-subset coins are bit-identical (core/fast_sim_crash.h). The
-  // traffic-oracle kinds additionally need the tree shape their decode
-  // logic measures depths against — TreeShape::make is a pure function of
-  // n, so a fresh shape is the engine's shape — and are driven through
-  // synthesized round traffic (core/fast_sim_targeted.h).
-  const bool oracle = route == harness::FastSimRoute::kTrafficOracle;
+  // Replay the exact adversary object the engine harness would construct
+  // for this (spec, n, seed) — null for a crash-free cell — so victim
+  // choices, crash rounds and delivery-subset coins are bit-identical
+  // (core/fast_sim_crash.h). The traffic-oracle kinds additionally need the
+  // tree shape their decode logic measures depths against — TreeShape::make
+  // is a pure function of n, so a fresh shape is the engine's shape — and
+  // are driven through synthesized round traffic (core/fast_sim_targeted.h).
+  const bool oracle = adversary_info(cell.adversary.kind).route ==
+                      harness::FastSimRoute::kTrafficOracle;
   const std::unique_ptr<sim::Adversary> adversary = harness::make_adversary(
       cell.adversary, cell.n, seed,
       oracle ? tree::TreeShape::make(cell.n) : nullptr);
   core::CrashFastSimOptions options;
   options.n = cell.n;
   options.seed = seed;
-  options.policy = policy;
+  options.policy = algorithm_info(cell.algorithm).policy;
   options.max_crashes = cell.adversary.crashes;
   const core::CrashFastSimResult result =
       oracle ? core::run_fast_sim_targeted(options, adversary.get())

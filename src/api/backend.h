@@ -85,10 +85,10 @@ class EngineBackend final : public Backend {
 /// Single-view fast simulator. Tree-based, default-labelled, globally
 /// terminating, uncapped cells whose adversary (if any) has a fast-sim
 /// route (the regimes where it is provably exact); fast_sim_compatible
-/// tells you in advance. Dispatches on the route: core::run_fast_sim
-/// crash-free, core::run_fast_sim_crash replaying the engine's adversary
-/// object bit-for-bit, or core::run_fast_sim_targeted feeding it
-/// synthesized round traffic.
+/// tells you in advance. Every cell runs core::run_fast_sim_crash, which
+/// replays the engine's adversary object bit-for-bit (none when crash-free);
+/// traffic-oracle kinds go through core::run_fast_sim_targeted, which feeds
+/// that object synthesized round traffic.
 class FastSimBackend final : public Backend {
  public:
   [[nodiscard]] BackendKind kind() const noexcept override {

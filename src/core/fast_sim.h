@@ -1,91 +1,20 @@
-// Single-view simulator for large-n complexity experiments.
-//
-// The paper's analysis (§5) observes: "Without crashes, local views of the
-// tree are always identical, and we therefore focus on one local view." The
-// full message-passing engine materializes n local views and delivers n²
-// messages per round, capping practical sweeps near n ≈ 2¹¹; this simulator
-// evolves the one common view directly, runs in O(n log n) per phase, and
-// sweeps past n = 2¹⁸. For identical seeds and no failures it is
-// round-for-round and placement-for-placement identical to the engine
-// execution (asserted by tests), because both draw each ball's coins from
-// the same derived stream and process movements in the same <R order.
-//
-// Failure support is deliberately limited to the two patterns whose effect
-// on a single view is exact:
-//   * init-round crashes with per-victim delivery subsets. Divergence from
-//     an init crash is confined to stale entries at the *root*, which (a)
-//     shift the phase-1 ranks of the deterministic policies — precisely the
-//     effect Theorem 4's analysis is about — and (b) cannot deflect any
-//     movement (a root entry inflates only the root count, which no
-//     capacity check reads). So one common view plus per-ball phase-1 ranks
-//     is exact, not an approximation.
-//   * clean crashes at phase boundaries (the crash is announced to everyone
-//     in the same round — a kAll delivery subset), which remove the ball
-//     from the one common view.
-// Everything involving genuinely divergent views (mid-phase subset
-// delivery) needs the real engine and is exercised there.
+// Compatibility shim: the crash-free fast sim is run_fast_sim_crash with a
+// null adversary (core/fast_sim_crash.h). These names remain only because
+// the repository benchmark (benchmark/) still calls run_fast_sim directly;
+// nothing else may include this header. Delete it once the benchmark times
+// fast-sim cells through api::FastSimBackend::run (ROADMAP.md, open item 2).
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "core/observer.h"
-#include "core/policy.h"
+#include "core/fast_sim_crash.h"
 
 namespace bil::core {
 
-/// How an init-round crasher's broadcast is delivered (mirrors
-/// sim::SubsetPolicy for the init round).
-enum class InitDelivery : std::uint8_t {
-  /// Every second survivor (by label order) sees the victim — the paper §6
-  /// worst case ("the ball with the lowest label sends to every second ball
-  /// and then crashes, so that all other balls collide in pairs").
-  kAlternating,
-  /// Each survivor sees the victim independently with probability 1/2.
-  kRandomHalf,
-  /// Nobody sees the victim (clean init crash; no rank divergence).
-  kSilent,
-};
+using FastSimOptions = CrashFastSimOptions;
+using FastSimResult = CrashFastSimResult;
 
-struct FastSimOptions {
-  std::uint32_t n = 0;
-  std::uint64_t seed = 0;
-  PathPolicy policy = PathPolicy::kRandomWeighted;
-
-  /// Balls that crash during the init broadcast (Theorem 4's f).
-  std::uint32_t init_crashes = 0;
-  InitDelivery init_delivery = InitDelivery::kRandomHalf;
-  /// Victims are the lowest-labelled balls when true (the §6 pattern),
-  /// random otherwise.
-  bool init_crash_lowest = false;
-
-  /// Clean crashes: `count` random balls vanish (visibly to everyone) at the
-  /// start of the given 1-based phase.
-  struct CleanCrash {
-    std::uint32_t phase = 1;
-    std::uint32_t count = 0;
-  };
-  std::vector<CleanCrash> clean_crashes;
-
-  /// Safety cap; 0 selects 8·n + 32 phases.
-  std::uint32_t max_phases = 0;
-};
-
-struct FastSimResult {
-  bool completed = false;
-  /// Phases executed until every surviving ball sat at a leaf.
-  std::uint32_t phases = 0;
-  /// Per-phase statistics (bmax, path loads, ...), one entry per phase.
-  std::vector<PhaseSnapshot> per_phase;
-  /// Decided name per ball label (1-based), or 0 for crashed balls.
-  std::vector<std::uint64_t> names;
-
-  /// Engine-equivalent communication rounds: one init round plus two rounds
-  /// per phase.
-  [[nodiscard]] std::uint32_t rounds() const { return 1 + 2 * phases; }
-};
-
-/// Runs the simulation to completion.
-[[nodiscard]] FastSimResult run_fast_sim(const FastSimOptions& options);
+/// A failure-free run_fast_sim_crash.
+[[nodiscard]] inline FastSimResult run_fast_sim(const FastSimOptions& options) {
+  return run_fast_sim_crash(options, nullptr);
+}
 
 }  // namespace bil::core

@@ -1,11 +1,19 @@
-// Crash-capable single-view simulator: exact symbolic execution of the
-// oblivious crash adversaries on one canonical tree view.
+// The fast simulator: exact symbolic execution of Balls-into-Leaves, crash-
+// free or under an oblivious crash adversary, on one canonical tree view.
 //
-// The crash-free fast simulator (core/fast_sim.h) exploits the paper's §5
-// observation that without crashes all local views are identical. Crashes
-// with subset delivery ("some balls may receive this broadcast, while
-// others do not", §4) make views diverge — but the divergence is *transient
-// and structured*, which is what this module exploits:
+// The paper's analysis (§5) observes: "Without crashes, local views of the
+// tree are always identical, and we therefore focus on one local view." The
+// full message-passing engine materializes n local views and delivers n²
+// messages per round, capping practical sweeps near n ≈ 2¹¹; this simulator
+// evolves the one common view directly, runs in O(n log n) per phase, and
+// sweeps past n = 2¹⁸. With a null adversary it is round-for-round and
+// placement-for-placement identical to the engine execution (asserted by
+// tests), because both draw each ball's coins from the same derived stream
+// and process movements in the same <R order.
+//
+// Crashes with subset delivery ("some balls may receive this broadcast,
+// while others do not", §4) make views diverge — but the divergence is
+// *transient and structured*, which is what this module exploits:
 //
 //   1. A victim crashed during a **path round** (2φ−1) affects only that
 //      round's movement pass: recipients of its candidate path simulate its
@@ -31,6 +39,12 @@
 //      core/balls_into_leaves.h), so movement simulations may simply omit
 //      ghosts. Target choices are evaluated against a per-ball
 //      ghost-adjusted capacity overlay instead of materialized views.
+//
+// Phase snapshots (CrashFastSimOptions::observer) show the canonical view
+// after each position round 2φ: that round's victims have left it, its
+// halt check has not yet run. That is where a BallsIntoLeavesProcess
+// observer fires in the engine; without crashes it is every ball's view,
+// with crashes it omits the ghosts that some views still hold.
 //
 // The adversary is replayed **bit-for-bit**: the simulator drives the same
 // sim::Adversary object the engine harness would construct
@@ -67,6 +81,7 @@
 #include <span>
 #include <vector>
 
+#include "core/observer.h"
 #include "core/policy.h"
 #include "sim/adversary.h"
 #include "tree/local_view.h"
@@ -81,6 +96,9 @@ struct CrashFastSimOptions {
   std::uint32_t max_crashes = 0;
   /// Safety cap on rounds; 0 selects the engine default 16·n + 64.
   sim::RoundNumber max_rounds = 0;
+  /// Optional phase-boundary instrumentation; not owned, may be null.
+  /// Receives the canonical view after each position round.
+  PhaseObserver* observer = nullptr;
 };
 
 struct CrashFastSimResult {
@@ -127,9 +145,8 @@ class AdversaryViewOracle {
       std::span<const tree::NodeId> targets) = 0;
 };
 
-/// Runs the simulation to completion. `adversary` may be null (failure-free;
-/// then this is equivalent to run_fast_sim but with engine-round
-/// bookkeeping) and must be freshly constructed for this run's seed — its
+/// Runs the simulation to completion. `adversary` may be null (the
+/// failure-free run) and must be freshly constructed for this run's seed — its
 /// internal RNG state is consumed exactly as an engine run would. With a
 /// null `oracle` the adversary is driven through the schedule-only view
 /// (sim::make_schedule_view) and must be schedule-only-drivable; a non-null

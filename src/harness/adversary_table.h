@@ -114,7 +114,9 @@ enum class FaultModel : std::uint8_t { kCrash, kByzantine, kDelay };
 
 /// How the single-view fast simulator replays a kind, if at all.
 enum class FastSimRoute : std::uint8_t {
-  /// No adversary: core::run_fast_sim.
+  /// No adversary: core::run_fast_sim_crash with a null adversary. Kept
+  /// apart from kScheduleReplay for its auto-selection threshold
+  /// (api::kAutoFastSimMinN).
   kCrashFree,
   /// A schedule-only crash strategy (sim/adversaries.h), replayed through
   /// sim::make_schedule_view by core::run_fast_sim_crash.

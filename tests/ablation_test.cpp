@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/balls_into_leaves.h"
-#include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "core/seeds.h"
 #include "sim/adversaries.h"
 #include "sim/engine.h"
@@ -22,26 +22,27 @@ namespace {
 
 TEST(UniformCoins, StillSolvesRenaming) {
   for (std::uint32_t n : {4u, 16u, 100u, 1024u}) {
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = 3;
-    options.policy = core::PathPolicy::kRandomUniform;
-    const auto result = core::run_fast_sim(options);
+    const auto result = core::run_fast_sim_crash(
+        {.n = n, .seed = 3, .policy = core::PathPolicy::kRandomUniform},
+        nullptr);
     EXPECT_TRUE(result.completed) << "n=" << n;
   }
 }
 
 TEST(UniformCoins, SlowerThanWeightedAtScale) {
+  // Phases to completion: one init round, then two rounds per phase.
+  const auto phases = [](core::PathPolicy policy, std::uint64_t seed) {
+    return (core::run_fast_sim_crash(
+                {.n = 1u << 14, .seed = seed, .policy = policy}, nullptr)
+                .total_rounds -
+            1) /
+           2;
+  };
   double weighted = 0;
   double uniform = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    core::FastSimOptions options;
-    options.n = 1u << 14;
-    options.seed = seed;
-    options.policy = core::PathPolicy::kRandomWeighted;
-    weighted += core::run_fast_sim(options).phases;
-    options.policy = core::PathPolicy::kRandomUniform;
-    uniform += core::run_fast_sim(options).phases;
+    weighted += phases(core::PathPolicy::kRandomWeighted, seed);
+    uniform += phases(core::PathPolicy::kRandomUniform, seed);
   }
   EXPECT_LT(weighted, uniform);
 }

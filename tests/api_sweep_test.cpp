@@ -84,11 +84,12 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 TEST(Sweep, BackendsAgreeRoundForRoundOnCrashFreeConfigs) {
   // Extends the fast_sim equivalence tests through the new API: explicit
   // EngineBackend and FastSimBackend sweeps of the same crash-free spec
-  // agree on rounds and decided names for every run of every cell.
+  // agree on rounds, total rounds and decided names for every run of every
+  // cell, including the smallest trees and the sizes either side of 2^6.
   api::ExperimentSpec spec;
   spec.algorithms = {Algorithm::kBallsIntoLeaves, Algorithm::kEarlyTerminating,
                      Algorithm::kRankDescent, Algorithm::kHalving};
-  spec.n_values = {16, 37, 64};
+  spec.n_values = {1, 2, 3, 16, 37, 63, 64, 65};
   spec.seeds = 3;
   spec.keep_runs = true;
 
@@ -106,6 +107,8 @@ TEST(Sweep, BackendsAgreeRoundForRoundOnCrashFreeConfigs) {
       const api::RunRecord& e = engine.cells[c].runs[r];
       const api::RunRecord& f = fast.cells[c].runs[r];
       EXPECT_EQ(e.rounds, f.rounds)
+          << "cell " << c << " seed " << e.seed;
+      EXPECT_EQ(e.total_rounds, f.total_rounds)
           << "cell " << c << " seed " << e.seed;
       EXPECT_EQ(e.names, f.names) << "cell " << c << " seed " << e.seed;
       // The fast sim's analytic delivery count must equal the engine's

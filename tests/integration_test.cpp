@@ -5,7 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "core/fast_sim.h"
+#include "core/fast_sim_crash.h"
 #include "harness/runner.h"
 #include "sim/adversaries.h"
 #include "stats/binomial.h"
@@ -19,6 +19,11 @@ using harness::AdversaryKind;
 using harness::AdversarySpec;
 using harness::Algorithm;
 using harness::RunConfig;
+
+/// Phases a fast-sim run executed: one init round, then two rounds each.
+std::uint32_t phases(const core::CrashFastSimResult& result) {
+  return (result.total_rounds - 1) / 2;
+}
 
 double mean_rounds(Algorithm algorithm, std::uint32_t n,
                    std::uint32_t seeds,
@@ -76,48 +81,53 @@ TEST(Theorem2Shape, PhasesGrowMuchSlowerThanLogN) {
   // must be far below the halving baseline's 1-level-per-phase slope, and
   // the absolute phase count must stay tiny at every size.
   std::vector<double> log_n;
-  std::vector<double> phases;
+  std::vector<double> phase_counts;
   for (std::uint32_t exp = 6; exp <= 16; exp += 2) {
     const std::uint32_t n = 1u << exp;
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = 17 + exp;
-    const auto result = core::run_fast_sim(options);
+    const auto result =
+        core::run_fast_sim_crash({.n = n, .seed = 17 + exp}, nullptr);
     ASSERT_TRUE(result.completed);
     log_n.push_back(exp);
-    phases.push_back(result.phases);
-    EXPECT_LE(result.phases, 12u) << "n=2^" << exp;
+    phase_counts.push_back(phases(result));
+    EXPECT_LE(phases(result), 12u) << "n=2^" << exp;
   }
-  const stats::LinearFit fit = stats::fit_linear(log_n, phases);
+  const stats::LinearFit fit = stats::fit_linear(log_n, phase_counts);
   EXPECT_LT(fit.slope, 0.5) << "phase count grows too fast with log n";
 }
 
 TEST(Theorem3, EarlyTerminatingIsConstantFaultFree) {
   for (std::uint32_t exp = 4; exp <= 14; exp += 2) {
-    core::FastSimOptions options;
-    options.n = 1u << exp;
-    options.seed = 5;
-    options.policy = core::PathPolicy::kEarlyTerminating;
-    const auto result = core::run_fast_sim(options);
-    EXPECT_EQ(result.rounds(), 3u) << "n=2^" << exp;
+    const auto result = core::run_fast_sim_crash(
+        {.n = 1u << exp,
+         .seed = 5,
+         .policy = core::PathPolicy::kEarlyTerminating},
+        nullptr);
+    EXPECT_EQ(result.total_rounds, 3u) << "n=2^" << exp;
   }
 }
 
 TEST(Theorem4Shape, RoundsTrackFailuresNotN) {
   // Fix n = 4096, sweep f: the phase count must grow with f only, and
-  // stay near-constant once f is small relative to n.
+  // stay near-constant once f is small relative to n. The f lowest balls
+  // crash during the init broadcast, each seen by a random half.
   const std::uint32_t n = 4096;
+  const std::uint64_t seed = 23;
   std::vector<std::uint32_t> phases_at_f;
   for (std::uint32_t f : {1u, 16u, 256u, 2048u}) {
-    core::FastSimOptions options;
-    options.n = n;
-    options.seed = 23;
-    options.policy = core::PathPolicy::kEarlyTerminating;
-    options.init_crashes = f;
-    options.init_delivery = core::InitDelivery::kRandomHalf;
-    const auto result = core::run_fast_sim(options);
+    const auto adversary = harness::make_adversary(
+        {.kind = AdversaryKind::kBurst,
+         .crashes = f,
+         .when = 0,
+         .subset = sim::SubsetPolicy::kRandomHalf},
+        n, seed);
+    const auto result = core::run_fast_sim_crash(
+        {.n = n,
+         .seed = seed,
+         .policy = core::PathPolicy::kEarlyTerminating,
+         .max_crashes = f},
+        adversary.get());
     ASSERT_TRUE(result.completed);
-    phases_at_f.push_back(result.phases);
+    phases_at_f.push_back(phases(result));
   }
   // Few failures -> very few phases; the full-failure case stays sane too.
   EXPECT_LE(phases_at_f[0], 3u);
@@ -128,17 +138,17 @@ TEST(Theorem4Shape, RoundsTrackFailuresNotN) {
 TEST(Lemma6Shape, ContentionCollapsesDoublyExponentially) {
   // bmax after phase 1 is ~sqrt(n·log n); after a couple more phases it
   // must be polylog (the paper's O(log² n) w.h.p. at c₂·log log n phases).
-  core::FastSimOptions options;
-  options.n = 1u << 14;
-  options.seed = 31;
-  const auto result = core::run_fast_sim(options);
+  const std::uint32_t n = 1u << 14;
+  core::RecordingObserver observer;
+  const auto result = core::run_fast_sim_crash(
+      {.n = n, .seed = 31, .observer = &observer}, nullptr);
   ASSERT_TRUE(result.completed);
-  ASSERT_GE(result.per_phase.size(), 3u);
-  const double n = options.n;
+  const std::vector<core::PhaseSnapshot>& snapshots = observer.snapshots();
+  ASSERT_GE(snapshots.size(), 3u);
   const double lemma4 = stats::lemma4_contention_bound(n, 0, 3.0);
-  EXPECT_LE(result.per_phase[0].bmax, lemma4);
+  EXPECT_LE(snapshots[0].bmax, lemma4);
   const double lemma6 = stats::lemma6_contention_bound(n, 2.0);
-  EXPECT_LE(result.per_phase[2].bmax, lemma6);
+  EXPECT_LE(snapshots[2].bmax, lemma6);
 }
 
 TEST(Section53, CrashesDoNotSlowBiLDownMuch) {
