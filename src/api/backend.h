@@ -32,11 +32,10 @@ struct RunRecord {
   /// Rounds until the protocol fully wound down.
   std::uint32_t total_rounds = 0;
   std::uint32_t crashes = 0;
-  /// Physical deliveries. Engine runs measure this; FastSim runs fill in
-  /// the analytically exact count for their (crash-free, all-broadcast)
-  /// domain — every round all n processes broadcast to all n alive
-  /// recipients, so deliveries = n² · total_rounds, bit-identical to what
-  /// the engine would have measured (asserted by tests/api_sweep_test.cpp).
+  /// Physical deliveries. Engine runs measure this; FastSim runs carry the
+  /// simulator's own count of the deliveries it modelled, crash and
+  /// targeted cells included — bit-identical to what the engine would have
+  /// measured (tests/fastsim_crash_test.cpp, fastsim_targeted_test.cpp).
   std::uint64_t messages_delivered = 0;
   /// Payload traffic; meaningful only when bytes_measured.
   std::uint64_t bytes_delivered = 0;

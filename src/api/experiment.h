@@ -4,8 +4,8 @@
 // separation from the Θ(log n) baselines — so every meaningful experiment is
 // a grid: algorithms × sizes × adversaries × many seeds. A spec names that
 // grid once; SweepRunner (sweep.h) expands it into cells, shards the
-// (cell, seed) pairs across a thread pool, and aggregates. Benches, examples
-// and the CLI all build specs instead of hand-rolling seed loops.
+// (cell, seed) pairs across a thread pool, and aggregates. The tools,
+// examples and tests build specs instead of hand-rolling seed loops.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +18,17 @@ namespace bil::api {
 
 /// Which executor runs a cell (see backend.h).
 enum class BackendKind : std::uint8_t {
-  /// Per cell: the fast single-view simulator when the cell is crash-free,
-  /// tree-based and large; the message-passing engine otherwise.
+  /// Per cell: the fast single-view simulator when the cell is
+  /// fast-sim-compatible and n reaches its route's threshold (crash-free,
+  /// schedule replay or traffic oracle — auto_fast_sim_min_n in backend.h);
+  /// the message-passing engine otherwise.
   kAuto,
   /// Always the full message-passing engine (exact, O(n²) traffic/round).
   kEngine,
-  /// Always the single-view fast simulator (O(n log n)/phase; crash-free
-  /// tree-based cells only — selecting it for an incompatible cell throws).
+  /// Always the single-view fast simulator (O(n log n)/phase): tree-based
+  /// cells that are crash-free or whose adversary replays as a schedule or
+  /// through the traffic oracle. Selecting it for an incompatible cell
+  /// (Byzantine, delay, eager termination, ...) throws.
   kFastSim,
 };
 

@@ -81,8 +81,8 @@ enum class MovementOrder : std::uint8_t {
   /// Plain label order — what a naive implementation might do. UNSOUND
   /// under crashes: a stale entry at a shallow node is processed after
   /// deeper correct balls in some views only, views diverge, and two
-  /// correct balls can decide the same leaf. bench_ablation demonstrates
-  /// observable uniqueness violations with this setting; it exists only to
+  /// correct balls can decide the same leaf. tests/ablation_test.cpp
+  /// observes real uniqueness violations with this setting; it exists only to
   /// show that the paper's priority order is necessary, not stylistic.
   kLabelOnly,
 };
@@ -159,7 +159,7 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
   /// Number of received paths whose anchor disagreed with this view's
   /// position for the sender — i.e. observed violations of Proposition 1's
   /// view synchrony. Always 0 under MovementOrder::kDepthThenLabel; the
-  /// label-order ablation racks these up (see bench_ablation).
+  /// label-order ablation racks these up (tests/ablation_test.cpp).
   [[nodiscard]] std::uint64_t divergence_repairs() const noexcept {
     return divergence_repairs_;
   }

@@ -45,7 +45,7 @@ enum class PathPolicy : std::uint8_t {
   /// two subtrees whenever both have remaining capacity (still forced when
   /// one is full, so termination is preserved). Correct but slower: without
   /// capacity steering, random choices pile into half-full regions and the
-  /// movement rule has to clip them (bench_ablation quantifies the cost).
+  /// movement rule has to clip them (tests/ablation_test.cpp checks the cost).
   kRandomUniform,
 };
 

@@ -2,7 +2,7 @@
 //
 // Every run executed through this harness is validated against the three
 // renaming properties (termination, validity, uniqueness) before its summary
-// is returned — benches and examples cannot accidentally report numbers from
+// is returned — tools, examples and tests cannot report numbers from
 // an incorrect run.
 #pragma once
 

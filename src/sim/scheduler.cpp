@@ -17,7 +17,7 @@ BoundedDelayScheduler::BoundedDelayScheduler(const DelaySpec& spec,
 VirtualTime BoundedDelayScheduler::deliver_at(const SendBatch& batch) {
   // d = 1 must consume no randomness: it makes the bounded-delay run
   // bit-identical to the synchronous scheduler (rng state, metrics, names),
-  // which is the baseline the async_overhead bench and the equivalence
+  // which is the baseline the benchmark's delay cell and the equivalence
   // tests compare against.
   if (spec_.max_delay == 1) {
     return batch.send_tick + 1;

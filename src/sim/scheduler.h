@@ -55,8 +55,8 @@ struct DelaySpec {
   /// Bounded-delay bound d: each batch's delay is drawn uniformly from
   /// [1, d] ticks. d = 1 is special-cased to consume no randomness at all,
   /// so a bounded-delay run at d = 1 is bit-identical to the synchronous
-  /// scheduler (the async_overhead bench and tests/async_test.cpp rely on
-  /// this). For the GST scheduler this is the *pre-GST* delay bound.
+  /// scheduler (the benchmark's delay cell and tests/async_test.cpp rely
+  /// on this). For the GST scheduler this is the *pre-GST* delay bound.
   std::uint32_t max_delay = 1;
   /// Global stabilization tick for the GST scheduler: batches sent at
   /// tick >= gst are delivered in exactly one tick (synchrony holds from

@@ -1,4 +1,4 @@
-// Aligned text tables for bench output (the "rows the paper reports").
+// Aligned text tables for CLI output (the "rows the paper reports").
 #pragma once
 
 #include <cstddef>
@@ -9,7 +9,7 @@
 namespace bil::stats {
 
 /// Builds and prints a column-aligned table. Cells are preformatted strings;
-/// numeric helpers below format common cases consistently across benches.
+/// numeric helpers below format common cases consistently across tools.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);

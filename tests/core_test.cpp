@@ -236,7 +236,23 @@ TEST(BallsIntoLeaves, EagerLeafModeMatchesProperties) {
   }
 }
 
+/// Mean decide round over a run's correct (non-crashed) processes.
+double mean_decide_round(const harness::RunSummary& summary) {
+  double total = 0;
+  std::uint32_t correct = 0;
+  for (const sim::ProcessOutcome& outcome : summary.raw.outcomes) {
+    if (!outcome.crashed) {
+      total += outcome.decide_round;
+      ++correct;
+    }
+  }
+  return total / correct;
+}
+
 TEST(BallsIntoLeaves, EagerNeverSlowerThanGlobalFaultFree) {
+  // Eager mode also publishes most names early: a ball's name is final once
+  // it announces its leaf, so the mean decide round drops strictly below
+  // global mode's, where everyone decides when the last ball settles.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     harness::RunConfig config;
     config.n = 128;
@@ -246,6 +262,8 @@ TEST(BallsIntoLeaves, EagerNeverSlowerThanGlobalFaultFree) {
     config.termination = core::TerminationMode::kEagerLeaf;
     const auto eager_mode = harness::run_renaming(config);
     EXPECT_LE(eager_mode.rounds, global_mode.rounds) << "seed=" << seed;
+    EXPECT_LT(mean_decide_round(eager_mode), mean_decide_round(global_mode))
+        << "seed=" << seed;
   }
 }
 

@@ -1,15 +1,23 @@
-// End-to-end integration tests: the paper's comparative claims, checked at
-// test scale with generous margins (the benches measure them precisely).
+// End-to-end integration tests: the paper's comparative and analytic claims,
+// checked at test scale. The comparative ones carry generous margins; the
+// bench-scale versions are the bil_report presets (docs/results.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
+#include "core/balls_into_leaves.h"
 #include "core/fast_sim_crash.h"
+#include "core/seeds.h"
 #include "harness/runner.h"
 #include "sim/adversaries.h"
+#include "sim/engine.h"
 #include "stats/binomial.h"
 #include "stats/fit.h"
+#include "tree/shape.h"
+#include "util/contract.h"
 #include "util/math.h"
 
 namespace bil {
@@ -23,6 +31,34 @@ using harness::RunConfig;
 /// Phases a fast-sim run executed: one init round, then two rounds each.
 std::uint32_t phases(const core::CrashFastSimResult& result) {
   return (result.total_rounds - 1) / 2;
+}
+
+/// Phase snapshots of crash-free BiL runs on the fast sim, n = 2^10, 2^12,
+/// 2^14 and 2^16, seeds 1-10 each: the data of the contention-decay and
+/// path-escape claims (Lemmas 4-10). Built once and shared.
+struct GridCell {
+  std::uint32_t n = 0;
+  std::vector<std::vector<core::PhaseSnapshot>> runs;  // one per seed
+};
+
+const std::vector<GridCell>& contention_grid() {
+  static const std::vector<GridCell> grid = [] {
+    std::vector<GridCell> cells;
+    for (std::uint32_t exp = 10; exp <= 16; exp += 2) {
+      GridCell& cell = cells.emplace_back();
+      cell.n = 1u << exp;
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        core::RecordingObserver observer;
+        const auto result = core::run_fast_sim_crash(
+            {.n = cell.n, .seed = seed, .observer = &observer}, nullptr);
+        BIL_REQUIRE(result.completed && !observer.snapshots().empty(),
+                    "contention grid run did not complete");
+        cell.runs.push_back(observer.snapshots());
+      }
+    }
+    return cells;
+  }();
+  return grid;
 }
 
 double mean_rounds(Algorithm algorithm, std::uint32_t n,
@@ -149,6 +185,111 @@ TEST(Lemma6Shape, ContentionCollapsesDoublyExponentially) {
   EXPECT_LE(snapshots[0].bmax, lemma4);
   const double lemma6 = stats::lemma6_contention_bound(n, 2.0);
   EXPECT_LE(snapshots[2].bmax, lemma6);
+
+  // The same bounds hold for the worst seed at every size of the grid. A
+  // run that finished before phase 3 has every ball at a leaf by then.
+  for (const GridCell& cell : contention_grid()) {
+    std::uint32_t worst_phase1 = 0;
+    std::uint32_t worst_phase3 = 0;
+    for (const std::vector<core::PhaseSnapshot>& run : cell.runs) {
+      worst_phase1 = std::max(worst_phase1, run[0].bmax);
+      if (run.size() >= 3) {
+        worst_phase3 = std::max(worst_phase3, run[2].bmax);
+      }
+    }
+    EXPECT_LE(worst_phase1, stats::lemma4_contention_bound(cell.n, 0, 3.0))
+        << "n=" << cell.n;
+    EXPECT_LE(worst_phase3, stats::lemma6_contention_bound(cell.n, 2.0))
+        << "n=" << cell.n;
+  }
+}
+
+TEST(Section52, PathsDrainAtAConstantRate) {
+  // Lemmas 7-10: every two phases a constant fraction of the balls still on
+  // inner nodes escapes to the leaves, so the paths drain within O(log M)
+  // phases. Over the grid's seeds, the mean inner-ball count at phase p
+  // (over the runs still going) is at most half of phase p-2's.
+  for (const GridCell& cell : contention_grid()) {
+    std::vector<double> mean_inner;
+    for (std::size_t phase = 0;; ++phase) {
+      double total = 0;
+      std::uint32_t runs = 0;
+      for (const std::vector<core::PhaseSnapshot>& run : cell.runs) {
+        if (phase < run.size()) {
+          total += run[phase].balls_inner;
+          ++runs;
+        }
+      }
+      if (runs == 0) {
+        break;
+      }
+      mean_inner.push_back(total / runs);
+    }
+    ASSERT_GE(mean_inner.size(), 3u) << "n=" << cell.n;
+    for (std::size_t phase = 2; phase < mean_inner.size(); ++phase) {
+      if (mean_inner[phase - 2] > 0) {
+        EXPECT_LE(mean_inner[phase], 0.5 * mean_inner[phase - 2])
+            << "n=" << cell.n << " phase " << phase + 1;
+      }
+    }
+  }
+}
+
+TEST(AppendixB, PhaseOneShiftsRanksByAtMostF) {
+  // The early-terminating extension's first phase is deterministic: each
+  // ball targets the leaf its local rank indexes (§6). A ball that misses
+  // k <= f of the init-round crashers has its rank shifted by at most k,
+  // so after round 1 every survivor's target lies within f leaves of its
+  // survivor rank, and no leaf is claimed by more than f + 1 balls. Here f
+  // random balls crash mid-init-broadcast, each seen by a random half. Both
+  // bounds are exact, and the runs reach them (shift f for f <= 8, f + 1
+  // claims for f <= 2), so no slack.
+  const std::uint32_t n = 1024;
+  const auto shape = tree::TreeShape::make(n);
+  for (std::uint32_t f = 1; f <= 256; f *= 2) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      RunConfig config;
+      config.algorithm = Algorithm::kEarlyTerminating;
+      config.n = n;
+      config.seed = seed;
+      sim::Engine engine(
+          sim::EngineConfig{.num_processes = n, .max_crashes = f},
+          harness::make_processes(config, shape),
+          std::make_unique<sim::BurstCrashAdversary>(
+              sim::BurstCrashAdversary::Options{
+                  .count = f,
+                  .when = 0,
+                  .subset_policy = sim::SubsetPolicy::kRandomHalf,
+                  .lowest_ids = false},
+              derive_seed(seed, core::kSeedDomainAdversary, 0)));
+      ASSERT_TRUE(engine.step());  // round 0: labels, f crash mid-send
+      ASSERT_TRUE(engine.step());  // round 1: phase-1 candidate paths
+      std::vector<std::uint32_t> claims(n, 0);
+      std::uint32_t survivor_rank = 0;
+      std::uint32_t worst_shift = 0;
+      for (sim::ProcessId id = 0; id < n; ++id) {
+        if (engine.is_crashed(id)) {
+          continue;
+        }
+        const tree::NodeId target =
+            dynamic_cast<const core::BallsIntoLeavesProcess&>(
+                engine.process(id))
+                .candidate_target();
+        ASSERT_TRUE(target != tree::kNoNode && shape->is_leaf(target))
+            << "f=" << f << " seed=" << seed << " ball " << id;
+        const std::uint32_t leaf = shape->leaf_rank(target);
+        worst_shift = std::max(worst_shift, leaf > survivor_rank
+                                                ? leaf - survivor_rank
+                                                : survivor_rank - leaf);
+        ++claims[leaf];
+        ++survivor_rank;
+      }
+      ASSERT_EQ(survivor_rank, n - f);
+      EXPECT_LE(worst_shift, f) << "f=" << f << " seed=" << seed;
+      EXPECT_LE(*std::max_element(claims.begin(), claims.end()), f + 1)
+          << "f=" << f << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Section53, CrashesDoNotSlowBiLDownMuch) {
