@@ -1,6 +1,7 @@
 // End-to-end integration tests: the paper's comparative and analytic claims,
 // checked at test scale. The comparative ones carry generous margins; the
-// bench-scale versions are the bil_report presets (docs/results.md).
+// bil_report presets check them at full scale (docs/results.md). The
+// analytic ones (Lemmas 4-10, Appendix B) are checked only here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
