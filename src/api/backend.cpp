@@ -30,10 +30,7 @@ RunRecord EngineBackend::run(const CellConfig& cell,
   config.seed = seed;
   config.adversary = cell.adversary;
   config.termination = cell.termination;
-  config.max_rounds = cell.max_rounds;
   config.gossip_t = cell.gossip_t;
-  config.label_offset = cell.label_offset;
-  config.label_stride = cell.label_stride;
   config.engine_threads = engine_threads_;
   config.trace = trace_;
   const harness::RunSummary summary = harness::run_renaming(config);
@@ -125,14 +122,6 @@ std::string fast_sim_incompatibility(const CellConfig& cell) {
   if (cell.termination != core::TerminationMode::kGlobal) {
     return "fast-sim requires global termination (the cell selects a "
            "different termination mode) — use --backend engine";
-  }
-  if (cell.max_rounds != 0) {
-    return "fast-sim requires an uncapped run (the cell sets a round cap) "
-           "— use --backend engine";
-  }
-  if (cell.label_offset != 0 || cell.label_stride != 1) {
-    return "fast-sim requires default labelling (the cell sets a label "
-           "offset/stride) — use --backend engine";
   }
   return {};
 }

@@ -81,9 +81,8 @@ class EngineBackend final : public Backend {
   std::uint32_t engine_threads_;
 };
 
-/// Single-view fast simulator. Tree-based, default-labelled, globally
-/// terminating, uncapped cells whose adversary (if any) has a fast-sim
-/// route (the regimes where it is provably exact); fast_sim_compatible
+/// Single-view fast simulator. Tree-based, globally terminating cells whose
+/// adversary (if any) has a fast-sim route (the regimes where it is provably exact); fast_sim_compatible
 /// tells you in advance. Every cell runs core::run_fast_sim_crash, which
 /// replays the engine's adversary object bit-for-bit (none when crash-free);
 /// traffic-oracle kinds go through core::run_fast_sim_targeted, which feeds
@@ -99,13 +98,12 @@ class FastSimBackend final : public Backend {
 
 /// True when FastSimBackend can execute the cell exactly: a tree-based
 /// algorithm, an adversary with a fast-sim route
-/// (adversary_info(kind).fast_sim_capable()), global termination, no round
-/// cap, default labelling.
+/// (adversary_info(kind).fast_sim_capable()), global termination.
 [[nodiscard]] bool fast_sim_compatible(const CellConfig& cell);
 
 /// Empty when fast_sim_compatible(cell); otherwise a one-line reason naming
-/// the first incompatible component (algorithm, adversary, termination
-/// mode, round cap, or labelling) — the message an explicit
+/// the first incompatible component (algorithm, adversary, or termination
+/// mode) — the message an explicit
 /// `--backend fast-sim` request fails with.
 [[nodiscard]] std::string fast_sim_incompatibility(const CellConfig& cell);
 

@@ -31,8 +31,8 @@ BackendKind churn_instance_backend(const CellConfig& cell) {
     case BackendKind::kAuto:
       break;
   }
-  // Compatibility is independent of n (algorithm family, termination,
-  // labelling), so probing with a placeholder size answers for every batch
+  // Compatibility is independent of n (algorithm family, termination), so
+  // probing with a placeholder size answers for every batch
   // the horizon will produce.
   return fast_sim_compatible(instance_cell(cell, 2)) ? BackendKind::kFastSim
                                                      : BackendKind::kEngine;

@@ -34,18 +34,6 @@ enum class BackendKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(BackendKind kind) noexcept;
 
-/// How run seeds are assigned to cells.
-enum class SeedMode : std::uint8_t {
-  /// Every cell runs seeds seed_base, seed_base+1, ... — common random
-  /// numbers across cells, the right default for paired comparisons
-  /// (algorithm A vs B on identical coin flips).
-  kShared,
-  /// Each cell gets an independent stream derived from
-  /// (seed_base, kSeedDomainSweep, cell_index) — decorrelated cells for
-  /// when grid points must not share randomness.
-  kPerCell,
-};
-
 /// One fully-resolved grid point: everything needed to execute runs, minus
 /// the seed.
 struct CellConfig {
@@ -53,11 +41,7 @@ struct CellConfig {
   std::uint32_t n = 0;
   harness::AdversarySpec adversary;
   core::TerminationMode termination = core::TerminationMode::kGlobal;
-  /// 0 = engine default (16n + 64).
-  sim::RoundNumber max_rounds = 0;
   std::uint32_t gossip_t = harness::kWaitFree;
-  sim::Label label_offset = 0;
-  sim::Label label_stride = 1;
   BackendKind backend = BackendKind::kAuto;
 };
 
@@ -70,10 +54,11 @@ struct ExperimentSpec {
   /// Default: the single failure-free cell.
   std::vector<harness::AdversarySpec> adversaries = {{}};
 
-  /// Independent runs per cell.
+  /// Independent runs per cell. Every cell runs seeds seed_base,
+  /// seed_base+1, ... — common random numbers across cells, so paired
+  /// comparisons (algorithm A vs B) see identical coin flips.
   std::uint32_t seeds = 5;
   std::uint64_t seed_base = 1;
-  SeedMode seed_mode = SeedMode::kShared;
 
   BackendKind backend = BackendKind::kAuto;
   /// Sweep worker threads — the sweep's *total* thread budget; 0 =
@@ -93,24 +78,14 @@ struct ExperimentSpec {
   bool keep_runs = false;
 
   core::TerminationMode termination = core::TerminationMode::kGlobal;
-  sim::RoundNumber max_rounds = 0;
   std::uint32_t gossip_t = harness::kWaitFree;
-  sim::Label label_offset = 0;
-  sim::Label label_stride = 1;
-
-  /// Spec-level delay defaults for the asynchronous adversaries
-  /// (sim/scheduler.h). Applied by expansion to every delay-kind adversary
-  /// whose own AdversarySpec::delay was left at the default — per-cell
-  /// values (e.g. from registry knobs) win over this spec-wide setting.
-  /// Ignored by synchronous adversaries.
-  sim::DelaySpec delay;
 
   /// Long-lived service mode (src/service/): when churn.enabled(), each
   /// (cell, seed) pair runs one RenamingService horizon — a churn-driven
   /// stream of renaming instances with name recycling — instead of one
   /// one-shot run, and cells carry steady-state summaries
-  /// (CellSummary::churn). Churn cells must be crash-free with default
-  /// labelling; n is the target steady-state population.
+  /// (CellSummary::churn). Churn cells must be crash-free; n is the target
+  /// steady-state population.
   service::ChurnSpec churn;
 };
 

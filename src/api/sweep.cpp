@@ -13,9 +13,7 @@
 #include "api/churn.h"
 #include "api/registry.h"
 #include "core/balls_into_leaves.h"
-#include "core/seeds.h"
 #include "util/contract.h"
-#include "util/rng.h"
 
 namespace bil::api {
 
@@ -183,6 +181,52 @@ stats::Summary summarize_metric(
   return stats::summarize(values);
 }
 
+/// Runs run_slot(index) for every index in [0, total) on `workers` threads
+/// that pull indices from one shared counter, so grids that mix cell sizes
+/// stay balanced. Each slot writes only its own preassigned output, so the
+/// scheduling order cannot affect the result. The first exception stops
+/// the remaining slots and is rethrown once every worker has joined.
+template <typename RunSlot>
+void for_each_slot(std::size_t total, std::size_t workers,
+                   const RunSlot& run_slot) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto worker = [&] {
+    for (;;) {
+      const std::size_t index = next.fetch_add(1);
+      if (index >= total) {
+        return;
+      }
+      try {
+        run_slot(index);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) {
+          first_error = std::current_exception();
+        }
+        next.store(total);  // drain remaining work
+        return;
+      }
+    }
+  };
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      pool.emplace_back(worker);
+    }
+    for (std::thread& thread : pool) {
+      thread.join();
+    }
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
+  }
+}
+
 }  // namespace
 
 void SweepResult::write_json(std::ostream& os) const {
@@ -196,16 +240,9 @@ void SweepResult::write_json(std::ostream& os) const {
   os << "]}\n";
 }
 
-std::uint64_t cell_run_seed(const ExperimentSpec& spec, std::size_t cell_index,
+std::uint64_t cell_run_seed(const ExperimentSpec& spec,
+                            std::size_t /*cell_index*/,
                             std::uint32_t seed_index) {
-  switch (spec.seed_mode) {
-    case SeedMode::kShared:
-      return spec.seed_base + seed_index;
-    case SeedMode::kPerCell:
-      return derive_seed(
-          spec.seed_base, core::kSeedDomainSweep,
-          (static_cast<std::uint64_t>(cell_index) << 32) | seed_index);
-  }
   return spec.seed_base + seed_index;
 }
 
@@ -226,17 +263,8 @@ std::vector<CellConfig> SweepRunner::expand(const ExperimentSpec& spec) {
         cell.algorithm = algorithm;
         cell.n = n;
         cell.adversary = adversary;
-        // Spec-level delay defaults flow into delay-kind cells that did not
-        // set their own DelaySpec; an explicitly-knobbed cell wins.
-        if (harness::is_delay_kind(adversary.kind) &&
-            adversary.delay == sim::DelaySpec{}) {
-          cell.adversary.delay = spec.delay;
-        }
         cell.termination = spec.termination;
-        cell.max_rounds = spec.max_rounds;
         cell.gossip_t = spec.gossip_t;
-        cell.label_offset = spec.label_offset;
-        cell.label_stride = spec.label_stride;
         cell.backend = spec.backend;
         cells.push_back(cell);
       }
@@ -248,15 +276,13 @@ std::vector<CellConfig> SweepRunner::expand(const ExperimentSpec& spec) {
 SweepRunner::SweepRunner(ExperimentSpec spec)
     : spec_(std::move(spec)), cells_(expand(spec_)) {
   if (spec_.churn.enabled()) {
-    // Churn mode drives crash-free, default-labelled instances only (the
-    // service's lease mapping assumes every participant decides a tight
-    // 1..k name). Validate here so a bad grid fails before any horizon.
+    // Churn mode drives crash-free instances only (the service's lease
+    // mapping assumes every participant decides a tight 1..k name).
+    // Validate here so a bad grid fails before any horizon.
     for (const harness::AdversarySpec& adversary : spec_.adversaries) {
       BIL_REQUIRE(adversary.kind == harness::AdversaryKind::kNone,
                   "churn mode runs crash-free instances; drop the adversary");
     }
-    BIL_REQUIRE(spec_.label_offset == 0 && spec_.label_stride == 1,
-                "churn mode requires default labelling");
     for (const CellConfig& cell : cells_) {
       (void)make_instance_runner(cell, 1);
     }
@@ -294,9 +320,11 @@ SweepResult SweepRunner::run() const {
   // An explicit engine_threads above the budget would oversubscribe (one
   // worker × engine_threads threads); the budget wins.
   engine_threads = std::min(engine_threads, budget);
+  const std::size_t workers =
+      std::min<std::size_t>(std::max(1u, budget / engine_threads), total);
 
   if (spec_.churn.enabled()) {
-    return run_churn(budget, engine_threads);
+    return run_churn(engine_threads, workers);
   }
 
   const std::unique_ptr<Backend> engine =
@@ -308,61 +336,22 @@ SweepResult SweepRunner::run() const {
     resolved[c] = select_backend(cells_[c]);
   }
 
-  // Every (cell, seed) pair writes into its preassigned slot; the pool's
-  // scheduling order cannot affect the result.
   std::vector<RunRecord> records(total);
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t index = next.fetch_add(1);
-      if (index >= total) {
-        return;
-      }
-      const std::size_t cell_index = index / runs_per_cell;
-      const auto seed_index = static_cast<std::uint32_t>(index % runs_per_cell);
-      try {
-        const Backend& backend = resolved[cell_index] == BackendKind::kFastSim
-                                     ? *fast_sim
-                                     : *engine;
-        records[index] = backend.run(
-            cells_[cell_index], cell_run_seed(spec_, cell_index, seed_index));
-        if (!spec_.keep_runs) {
-          // Summaries never read the names; don't hold n values per run
-          // (a 2^18-ball sweep would otherwise retain them all until
-          // aggregation).
-          records[index].names = {};
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        next.store(total);  // drain remaining work
-        return;
-      }
+  for_each_slot(total, workers, [&](std::size_t index) {
+    const std::size_t cell_index = index / runs_per_cell;
+    const Backend& backend =
+        resolved[cell_index] == BackendKind::kFastSim ? *fast_sim : *engine;
+    records[index] =
+        backend.run(cells_[cell_index],
+                    cell_run_seed(spec_, cell_index,
+                                  static_cast<std::uint32_t>(
+                                      index % runs_per_cell)));
+    if (!spec_.keep_runs) {
+      // Summaries never read the names; don't hold n values per run (a
+      // 2^18-ball sweep would otherwise retain them all until aggregation).
+      records[index].names = {};
     }
-  };
-
-  std::size_t threads = std::max<std::uint32_t>(1, budget / engine_threads);
-  threads = std::min(threads, total);
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& thread : pool) {
-      thread.join();
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+  });
 
   SweepResult result;
   result.total_runs = total;
@@ -405,63 +394,25 @@ SweepResult SweepRunner::run() const {
   return result;
 }
 
-SweepResult SweepRunner::run_churn(std::uint32_t budget,
-                                   std::uint32_t engine_threads) const {
+SweepResult SweepRunner::run_churn(std::uint32_t engine_threads,
+                                   std::size_t workers) const {
   const std::size_t num_cells = cells_.size();
   const std::size_t runs_per_cell = spec_.seeds;
   const std::size_t total = num_cells * runs_per_cell;
 
-  // Same sharding discipline as the one-shot path: every (cell, seed) pair
-  // — here one full service horizon — writes into its preassigned slot, so
-  // the pool's scheduling order cannot affect the result. Each horizon is
-  // itself a sequential driver loop; the injected instance runner may use
-  // engine_threads internally, which moves wall clock only.
+  // Same slot discipline as the one-shot path, one full service horizon
+  // per slot. Each horizon is itself a sequential driver loop; the injected
+  // instance runner may use engine_threads internally, which moves wall
+  // clock only.
   std::vector<service::ServiceMetrics> metrics(total);
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t index = next.fetch_add(1);
-      if (index >= total) {
-        return;
-      }
-      const std::size_t cell_index = index / runs_per_cell;
-      const auto seed_index = static_cast<std::uint32_t>(index % runs_per_cell);
-      try {
-        metrics[index] =
-            run_churn_cell(cells_[cell_index], spec_.churn,
-                           cell_run_seed(spec_, cell_index, seed_index),
-                           engine_threads);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        next.store(total);  // drain remaining work
-        return;
-      }
-    }
-  };
-
-  std::size_t threads = std::max<std::uint32_t>(1, budget / engine_threads);
-  threads = std::min(threads, total);
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& thread : pool) {
-      thread.join();
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+  for_each_slot(total, workers, [&](std::size_t index) {
+    const std::size_t cell_index = index / runs_per_cell;
+    metrics[index] = run_churn_cell(
+        cells_[cell_index], spec_.churn,
+        cell_run_seed(spec_, cell_index,
+                      static_cast<std::uint32_t>(index % runs_per_cell)),
+        engine_threads);
+  });
 
   SweepResult result;
   result.total_runs = total;

@@ -1,9 +1,9 @@
 // SweepRunner: expand an ExperimentSpec into cells, shard (cell, seed)
 // pairs across a thread pool, aggregate into a SweepResult.
 //
-// Determinism contract: the result is a pure function of the spec — every
-// run's seed is derived from (seed_base, seed_mode, cell index, seed index)
-// alone, each run writes into a preassigned slot, and summaries are folded
+// Determinism contract: the result is a pure function of the spec — run k
+// of every cell runs seed seed_base + k, each run writes into a
+// preassigned slot, and summaries are folded
 // in slot order after the pool joins. The same spec run with 1 thread and
 // with 8 threads therefore produces bit-identical SweepResults (asserted by
 // tests/api_sweep_test.cpp) — and the per-run engine is itself
@@ -84,8 +84,9 @@ struct SweepResult {
   void write_json(std::ostream& os) const;
 };
 
-/// Derives the seed of run `seed_index` of cell `cell_index` under a spec.
-/// Exposed so tools can label single runs consistently with sweeps.
+/// The seed of run `seed_index` of any cell under a spec: seed_base +
+/// seed_index, shared by every cell (the cell index is not read). Exposed
+/// so tools can label single runs consistently with sweeps.
 [[nodiscard]] std::uint64_t cell_run_seed(const ExperimentSpec& spec,
                                           std::size_t cell_index,
                                           std::uint32_t seed_index);
@@ -109,8 +110,8 @@ class SweepRunner {
 
  private:
   /// Churn-mode execution: one RenamingService horizon per (cell, seed).
-  [[nodiscard]] SweepResult run_churn(std::uint32_t budget,
-                                      std::uint32_t engine_threads) const;
+  [[nodiscard]] SweepResult run_churn(std::uint32_t engine_threads,
+                                      std::size_t workers) const;
 
   ExperimentSpec spec_;
   std::vector<CellConfig> cells_;

@@ -110,7 +110,14 @@ void BallsIntoLeavesProcess::on_send(sim::RoundNumber round, sim::Outbox& out) {
   const tree::NodeId current = view_.current(me);
   if (round % 2 == 1) {
     // Phase round 1: choose and announce the candidate path (lines 3–11).
-    my_target_ = choose_target(current);
+    // From a leaf the path is trivial; the ball never moves again.
+    my_target_ =
+        shape_->is_leaf(current)
+            ? current
+            : choose_target(
+                  options_.policy, phase_, view_, current, rng_,
+                  [&] { return rank_among_node_mates(view_, me); },
+                  [&] { return view_.balls_at(current); });
     out.broadcast(encode_message(PathMsg{me, current, my_target_}));
     return;
   }
@@ -157,36 +164,6 @@ void BallsIntoLeavesProcess::on_receive(sim::RoundNumber round,
   }
   maybe_finish();
   ++phase_;
-}
-
-tree::NodeId BallsIntoLeavesProcess::choose_target(tree::NodeId current) {
-  if (shape_->is_leaf(current)) {
-    return current;  // trivial path {leaf}; the ball never moves again
-  }
-  switch (options_.policy) {
-    case PathPolicy::kRandomWeighted:
-      return sample_weighted_leaf(view_, current, rng_);
-    case PathPolicy::kRankedSlack:
-      return ranked_slack_leaf(view_, current,
-                               rank_among_node_mates(view_, options_.label));
-    case PathPolicy::kEarlyTerminating:
-      // §6: deterministic rank-indexed leaf in phase 1 — with all balls at
-      // the root, the rank among node mates *is* the rank in
-      // OrderedBalls() — then the randomized rule.
-      if (phase_ == 1) {
-        return ranked_slack_leaf(view_, current,
-                                 rank_among_node_mates(view_, options_.label));
-      }
-      return sample_weighted_leaf(view_, current, rng_);
-    case PathPolicy::kHalvingSplit:
-      return halving_child(
-          view_, current, rank_among_node_mates(view_, options_.label),
-          view_.balls_at(current));
-    case PathPolicy::kRandomUniform:
-      return sample_uniform_leaf(view_, current, rng_);
-  }
-  BIL_ENSURE(false, "unreachable: unknown path policy");
-  return tree::kNoNode;
 }
 
 std::span<const sim::Label> BallsIntoLeavesProcess::movement_order() {

@@ -173,7 +173,6 @@ class BallsIntoLeavesProcess final : public sim::ProcessBase {
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
-  [[nodiscard]] tree::NodeId choose_target(tree::NodeId current);
   /// The round's ball-processing order. Aliases view scratch (<R order) or
   /// ablation_order_ (label-order ablation); valid until the next call,
   /// across the movement mutations the processing loops perform.

@@ -85,9 +85,8 @@ class CrashFastSim {
   }
 
   CrashFastSimResult run() {
-    const sim::RoundNumber max_rounds =
-        options_.max_rounds != 0 ? options_.max_rounds
-                                 : 16 * options_.n + 64;
+    // The engine's default safety cap (sim::EngineConfig::max_rounds).
+    const sim::RoundNumber max_rounds = 16 * options_.n + 64;
     alive_count_ = options_.n;
     sim::RoundNumber round = 0;
     while (alive_count_ > 0 && round < max_rounds) {
@@ -326,13 +325,10 @@ class CrashFastSim {
   /// mates adjusted by co-located ghosts, per-ball coins from the same
   /// derived stream.
   void compute_targets(sim::RoundNumber round) {
-    const bool needs_ranks =
-        options_.policy == PathPolicy::kRankedSlack ||
-        options_.policy == PathPolicy::kHalvingSplit ||
-        (options_.policy == PathPolicy::kEarlyTerminating && round == 1);
+    const std::uint32_t phase = (round + 1) / 2;
     std::vector<std::uint32_t> rank_of;
     std::vector<std::uint32_t> mates_of;
-    if (needs_ranks) {
+    if (needs_ranks(options_.policy, phase)) {
       rank_of.assign(options_.n, 0);
       mates_of.assign(options_.n, 0);
       // One sort gives every alive inner ball's rank among its node mates
@@ -384,30 +380,10 @@ class CrashFastSim {
           }
         }
       }
-      const GhostedView gview(view_, extras);
-      switch (options_.policy) {
-        case PathPolicy::kRandomWeighted:
-          targets_[id] = sample_weighted_leaf(gview, current, rngs_[id]);
-          break;
-        case PathPolicy::kRankedSlack:
-          targets_[id] =
-              ranked_slack_leaf(gview, current, rank_of[id] + ghost_rank);
-          break;
-        case PathPolicy::kEarlyTerminating:
-          targets_[id] =
-              round == 1
-                  ? ranked_slack_leaf(gview, current, rank_of[id] + ghost_rank)
-                  : sample_weighted_leaf(gview, current, rngs_[id]);
-          break;
-        case PathPolicy::kHalvingSplit:
-          targets_[id] = halving_child(gview, current,
-                                       rank_of[id] + ghost_rank,
-                                       mates_of[id] + ghost_mates);
-          break;
-        case PathPolicy::kRandomUniform:
-          targets_[id] = sample_uniform_leaf(gview, current, rngs_[id]);
-          break;
-      }
+      targets_[id] = choose_target(
+          options_.policy, phase, GhostedView(view_, extras), current,
+          rngs_[id], [&] { return rank_of[id] + ghost_rank; },
+          [&] { return mates_of[id] + ghost_mates; });
     }
   }
 

@@ -94,8 +94,6 @@ struct CrashFastSimOptions {
   PathPolicy policy = PathPolicy::kRandomWeighted;
   /// Adversary crash budget t (sim::EngineConfig::max_crashes); must be < n.
   std::uint32_t max_crashes = 0;
-  /// Safety cap on rounds; 0 selects the engine default 16·n + 64.
-  sim::RoundNumber max_rounds = 0;
   /// Optional phase-boundary instrumentation; not owned, may be null.
   /// Receives the canonical view after each position round.
   PhaseObserver* observer = nullptr;

@@ -194,4 +194,45 @@ template <typename View>
 [[nodiscard]] std::uint32_t rank_among_node_mates(
     const tree::LocalTreeView& view, sim::Label ball);
 
+/// True when `policy` reads the ball's rank among its node mates (and, for
+/// kHalvingSplit, their count) in 1-based phase `phase`.
+[[nodiscard]] constexpr bool needs_ranks(PathPolicy policy,
+                                         std::uint32_t phase) noexcept {
+  return policy == PathPolicy::kRankedSlack ||
+         policy == PathPolicy::kHalvingSplit ||
+         (policy == PathPolicy::kEarlyTerminating && phase == 1);
+}
+
+/// The candidate target of a ball at inner node `current` in 1-based phase
+/// `phase` (a ball on a leaf keeps its trivial path; callers return early
+/// for it). `rank()` and `mates()` give the ball's rank among its node mates
+/// and their count; they are called only when needs_ranks(policy, phase),
+/// so a caller may compute them lazily. Coins come from `rng`, the ball's
+/// own stream, and only the random policies draw them.
+template <typename View, typename Rank, typename Mates>
+[[nodiscard]] tree::NodeId choose_target(PathPolicy policy,
+                                         std::uint32_t phase, const View& view,
+                                         tree::NodeId current, Rng& rng,
+                                         const Rank& rank,
+                                         const Mates& mates) {
+  switch (policy) {
+    case PathPolicy::kRandomWeighted:
+      return sample_weighted_leaf(view, current, rng);
+    case PathPolicy::kRankedSlack:
+      return ranked_slack_leaf(view, current, rank());
+    case PathPolicy::kEarlyTerminating:
+      // §6: deterministic rank-indexed leaf in phase 1 — with all balls at
+      // the root, the rank among node mates *is* the rank in
+      // OrderedBalls() — then the randomized rule.
+      return phase == 1 ? ranked_slack_leaf(view, current, rank())
+                        : sample_weighted_leaf(view, current, rng);
+    case PathPolicy::kHalvingSplit:
+      return halving_child(view, current, rank(), mates());
+    case PathPolicy::kRandomUniform:
+      return sample_uniform_leaf(view, current, rng);
+  }
+  BIL_ENSURE(false, "unreachable: unknown path policy");
+  return tree::kNoNode;
+}
+
 }  // namespace bil::core

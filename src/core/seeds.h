@@ -17,9 +17,8 @@ inline constexpr std::uint64_t kSeedDomainAdversary = 2;
 /// derive_seed(run_seed, kSeedDomainHarness, k) seeds harness-level choices
 /// (e.g. which processes an oblivious adversary victimizes).
 inline constexpr std::uint64_t kSeedDomainHarness = 3;
-/// derive_seed(sweep_seed_base, kSeedDomainSweep, cell_index) seeds one
-/// sweep cell's run-seed stream (api::SeedMode::kPerCell).
-inline constexpr std::uint64_t kSeedDomainSweep = 4;
+// Domain 4 is unused. The values are pinned (every checked result derives
+// its seeds from them), so the domains below keep their numbers.
 /// derive_seed(service_seed, kSeedDomainChurnArrivals, round) seeds the
 /// arrival-count draw for one churn round; random-access addressing keeps
 /// service::ChurnStream order-independent.

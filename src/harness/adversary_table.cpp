@@ -32,8 +32,7 @@ std::unique_ptr<sim::Adversary> burst(const AdversarySpec& spec,
   return std::make_unique<sim::BurstCrashAdversary>(
       sim::BurstCrashAdversary::Options{.count = spec.crashes,
                                         .when = spec.when,
-                                        .subset_policy = spec.subset,
-                                        .lowest_ids = true},
+                                        .subset_policy = spec.subset},
       seed);
 }
 
@@ -91,8 +90,7 @@ std::unique_ptr<sim::Adversary> bit_flip(const AdversarySpec& spec,
       sim::ByzantineCorruptionAdversary::Options{
           .byzantine = spec.byzantine,
           .start_round = 1,
-          .rounds = spec.byzantine_rounds,
-          .mode = sim::ByzantineCorruptionAdversary::Mode::kMixed},
+          .rounds = spec.byzantine_rounds},
       seed);
 }
 

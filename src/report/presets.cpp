@@ -631,7 +631,6 @@ PresetSpec load_balancing_gap_preset() {
   two_choice.n_values = {256, 1024, 4096};
   two_choice.seeds = 10;
   two_choice.two_choice = true;
-  two_choice.two_choice_rounds = 3;
   preset.series.push_back(two_choice);
 
   SeriesSpec bil;

@@ -38,8 +38,9 @@ struct SeriesSpec {
   std::vector<std::uint32_t> n_values = {64};
   /// Failure-count axis (init-round crash sweeps at fixed n).
   std::vector<std::uint32_t> f_values;
+  /// Runs per point, on seeds 1, 2, ... (shared across the preset's
+  /// points and series).
   std::uint32_t seeds = 10;
-  std::uint64_t seed_base = 1;
   api::BackendKind backend = api::BackendKind::kAuto;
   core::TerminationMode termination = core::TerminationMode::kGlobal;
   /// Builds the adversary for a grid point (axis values n, f); null means
@@ -55,9 +56,8 @@ struct SeriesSpec {
   /// sub-logarithmic claim is checked against.
   std::function<std::uint32_t(std::uint32_t n)> gossip_t;
   /// True: run baselines::run_two_choice instead of a renaming sweep
-  /// (`algorithm` is ignored; `two_choice_rounds` below applies).
+  /// (`algorithm` is ignored; the allocator always runs three rounds).
   bool two_choice = false;
-  std::uint32_t two_choice_rounds = 3;
   /// Long-lived service mode: when churn.enabled(), each point runs
   /// RenamingService horizons instead of one-shot instances (n is the
   /// steady-state population target) and the point carries steady-state

@@ -22,6 +22,10 @@ namespace {
 
 // ---- execution --------------------------------------------------------------
 
+/// Rounds of the parallel two-choice allocator: the paper's §1 contrast
+/// point, a constant-round balanced allocation.
+constexpr std::uint32_t kTwoChoiceRounds = 3;
+
 SeriesPoint run_two_choice_point(const SeriesSpec& spec, std::uint32_t n) {
   std::vector<double> max_load;
   std::vector<double> colliding;
@@ -30,13 +34,13 @@ SeriesPoint run_two_choice_point(const SeriesSpec& spec, std::uint32_t n) {
     baselines::TwoChoiceOptions options;
     options.balls = n;
     options.bins = n;
-    options.rounds = spec.two_choice_rounds;
-    options.seed = spec.seed_base + s;
+    options.rounds = kTwoChoiceRounds;
+    options.seed = 1 + s;
     const baselines::TwoChoiceResult result =
         baselines::run_two_choice(options);
     max_load.push_back(result.max_load);
     colliding.push_back(result.colliding_balls);
-    rounds.push_back(spec.two_choice_rounds);
+    rounds.push_back(kTwoChoiceRounds);
   }
   SeriesPoint point;
   point.x = n;
@@ -56,7 +60,6 @@ SeriesPoint run_sweep_point(const SeriesSpec& spec, std::uint32_t n,
   sweep.adversaries = {spec.adversary ? spec.adversary(n, f)
                                       : harness::AdversarySpec{}};
   sweep.seeds = spec.seeds;
-  sweep.seed_base = spec.seed_base;
   sweep.backend = spec.backend;
   sweep.termination = spec.termination;
   sweep.gossip_t = spec.gossip_t ? spec.gossip_t(n) : harness::kWaitFree;

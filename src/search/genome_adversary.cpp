@@ -104,8 +104,7 @@ std::unique_ptr<sim::Adversary> make_genome_adversary(
             .byzantine = genome.byzantine,
             .start_round = std::max<sim::RoundNumber>(genome.byzantine_start,
                                                       1),
-            .rounds = genome.byzantine_rounds,
-            .mode = sim::ByzantineCorruptionAdversary::Mode::kMixed},
+            .rounds = genome.byzantine_rounds},
         derive_seed(genome.run_seed, core::kSeedDomainByzantine, 0));
     return std::make_unique<ByzantineOverlayAdversary>(std::move(adversary),
                                                        std::move(corruption));

@@ -87,8 +87,8 @@ stats::Summary summarize_histogram(const std::vector<std::uint64_t>& counts) {
   return summary;
 }
 
-/// Largest n (and min_namespace) the service accepts: its power-of-two
-/// namespace must still double within 32 bits.
+/// Largest n the service accepts: its power-of-two namespace must still
+/// double within 32 bits.
 constexpr std::uint32_t kMaxNamespaceBase = std::uint32_t{1} << 30;
 
 /// Smallest power of two >= value (1 <= value <= kMaxNamespaceBase).
@@ -119,13 +119,6 @@ RenamingService::RenamingService(ServiceConfig config, InstanceRunner runner)
               "service population target n = " + std::to_string(config_.n) +
                   " needs a namespace that cannot double within 32 bits "
                   "(n must be at most 2^30)");
-  BIL_REQUIRE(config_.min_namespace >= 1 &&
-                  config_.min_namespace <= kMaxNamespaceBase,
-              "min_namespace must be in [1, 2^30]");
-  BIL_REQUIRE(config_.grow_percent >= 1 && config_.grow_percent <= 100,
-              "grow_percent must be in [1, 100]");
-  BIL_REQUIRE(config_.shrink_percent < config_.grow_percent,
-              "shrink_percent must be below grow_percent (hysteresis)");
   BIL_REQUIRE(static_cast<bool>(runner_), "service needs an instance runner");
 }
 
@@ -137,7 +130,7 @@ ServiceMetrics RenamingService::run() {
   ServiceObserver* observer = config_.observer;
 
   NameLeaseTable table(
-      pow2_at_least(std::max(config_.min_namespace,
+      pow2_at_least(std::max(kMinNamespace,
                              churn.warm_start ? config_.n : 1U)));
   std::vector<PendingClient> backlog;
 
@@ -240,9 +233,9 @@ ServiceMetrics RenamingService::run() {
       }
     }
     leaving.clear();
-    while (table.namespace_size() / 2 >= config_.min_namespace &&
+    while (table.namespace_size() / 2 >= kMinNamespace &&
            std::uint64_t{table.live()} * 100 <
-               std::uint64_t{config_.shrink_percent} * table.namespace_size()) {
+               std::uint64_t{kShrinkPercent} * table.namespace_size()) {
       const std::uint32_t old_size = table.namespace_size();
       if (!table.try_shrink(old_size / 2)) {
         break;  // A straggler lease still pins the top half.
@@ -269,7 +262,7 @@ ServiceMetrics RenamingService::run() {
     if (!in_flight && !backlog.empty()) {
       const auto k = static_cast<std::uint32_t>(backlog.size());
       while (std::uint64_t{table.live()} + k >
-             std::uint64_t{config_.grow_percent} * table.namespace_size() /
+             std::uint64_t{kGrowPercent} * table.namespace_size() /
                  100) {
         const std::uint32_t old_size = table.namespace_size();
         table.grow(old_size * 2);

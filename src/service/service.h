@@ -77,20 +77,21 @@ class ServiceObserver {
 struct ServiceConfig {
   ChurnSpec churn;
   /// Target steady-state population (the n of "renaming at scale n").
-  /// At most 2^30, like min_namespace, so the power-of-two namespace can
-  /// still double within 32 bits.
+  /// At most 2^30, so the power-of-two namespace can still double within
+  /// 32 bits.
   std::uint32_t n = 0;
   std::uint64_t seed = 1;
-  /// The namespace never shrinks below this.
-  std::uint32_t min_namespace = 64;
-  /// Launch grows the namespace (doubling) until
-  /// (leased + batch) * 100 <= grow_percent * namespace.
-  std::uint32_t grow_percent = 90;
-  /// After departures, the namespace halves when
-  /// live * 100 < shrink_percent * namespace (and the leased set fits).
-  std::uint32_t shrink_percent = 25;
   ServiceObserver* observer = nullptr;
 };
+
+/// The namespace never shrinks below this.
+inline constexpr std::uint32_t kMinNamespace = 64;
+/// Launch grows the namespace (doubling) until
+/// (leased + batch) * 100 <= kGrowPercent * namespace.
+inline constexpr std::uint32_t kGrowPercent = 90;
+/// After departures, the namespace halves when
+/// live * 100 < kShrinkPercent * namespace (and the leased set fits).
+inline constexpr std::uint32_t kShrinkPercent = 25;
 
 /// Steady-state metrics over one service horizon.
 struct ServiceMetrics {

@@ -90,16 +90,7 @@ void BurstCrashAdversary::schedule(const RoundView& view, CrashPlan& plan) {
   if (view.round() != options_.when) {
     return;
   }
-  std::vector<ProcessId> victims(view.alive().begin(), view.alive().end());
-  if (!options_.lowest_ids) {
-    // Partial shuffle so victims are a uniform random subset.
-    for (std::size_t i = 0;
-         i < victims.size() && i < static_cast<std::size_t>(options_.count);
-         ++i) {
-      const std::uint64_t j = i + rng_.below(victims.size() - i);
-      std::swap(victims[i], victims[j]);
-    }
-  }
+  const std::span<const ProcessId> victims = view.alive();
   const std::uint32_t budget =
       std::min(options_.count, view.crash_budget_remaining());
   for (std::uint32_t i = 0; i < budget && i < victims.size(); ++i) {
@@ -173,12 +164,8 @@ void ByzantineCorruptionAdversary::corrupt(const RoundView& view,
     mutated.reserve(view.outgoing(sender).size());
     for (const OutboundMessage& message : view.outgoing(sender)) {
       wire::Buffer garbled(message.payload->begin(), message.payload->end());
-      Mode mode = options_.mode;
-      if (mode == Mode::kMixed) {
-        mode = static_cast<Mode>(rng_.below(3));  // includes appending junk
-      }
-      switch (mode) {
-        case Mode::kBitFlip:
+      switch (rng_.below(3)) {
+        case 0:  // bit flips
           if (!garbled.empty()) {
             const std::uint64_t flips = rng_.between(1, 8);
             for (std::uint64_t i = 0; i < flips; ++i) {
@@ -188,11 +175,10 @@ void ByzantineCorruptionAdversary::corrupt(const RoundView& view,
             }
           }
           break;
-        case Mode::kTruncate:
+        case 1:  // truncation
           garbled.resize(rng_.below(garbled.size() + 1));
           break;
-        default: {
-          // kMixed resolved to 2: length lie — trailing junk bytes.
+        default: {  // length lie: trailing junk bytes
           const std::uint64_t extra = rng_.between(1, 8);
           for (std::uint64_t i = 0; i < extra; ++i) {
             garbled.push_back(static_cast<std::byte>(rng_.below(256)));

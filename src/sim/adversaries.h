@@ -88,8 +88,8 @@ class ObliviousCrashAdversary final : public Adversary {
   Rng rng_;
 };
 
-/// Crashes `count` processes simultaneously in one round. Probes the
-/// early-termination analysis (Theorem 4): f crashes in the very first
+/// Crashes the `count` lowest alive ids simultaneously in one round. Probes
+/// the early-termination analysis (Theorem 4): f crashes in the very first
 /// phase force the deterministic phase-1 collapse to leave collisions, which
 /// the randomized phases must then clear in O(log log f) rounds.
 class BurstCrashAdversary final : public Adversary {
@@ -98,8 +98,6 @@ class BurstCrashAdversary final : public Adversary {
     std::uint32_t count = 0;
     RoundNumber when = 1;
     SubsetPolicy subset_policy = SubsetPolicy::kAlternating;
-    /// When true, victims are the lowest alive ids; otherwise random.
-    bool lowest_ids = true;
   };
 
   BurstCrashAdversary(Options options, std::uint64_t seed);
@@ -162,19 +160,14 @@ class EagerCrashAdversary final : public Adversary {
 /// lowest process ids (the faulty set is fixed at construction, matching the
 /// paper convention that f is a property of the execution, not a budget to
 /// spend adaptively). Each firing round, every outgoing payload of a faulty
-/// sender is copied and mutated — random bit flips, truncation, or trailing
-/// garbage — and installed for all recipients via
+/// sender is copied and mutated, the garble drawn per payload: 1–8 random
+/// bit flips, truncation (possibly to zero bytes), or 1–8 trailing junk
+/// bytes. The rewrite is installed for all recipients via
 /// CorruptionPlan::rewrite_all, so recipients exercise their WireError
 /// handling while the sender itself still sees its own clean loopback.
 /// Crashes nobody. Protocol-agnostic: mutates bytes, never decodes them.
 class ByzantineCorruptionAdversary final : public Adversary {
  public:
-  enum class Mode : std::uint8_t {
-    kBitFlip,    ///< flip 1–8 random bits per payload
-    kTruncate,   ///< cut the payload short (possibly to zero bytes)
-    kMixed,      ///< per payload, randomly bit-flip / truncate / append junk
-  };
-
   struct Options {
     /// f — number of faulty senders (ids 0..f-1).
     std::uint32_t byzantine = 0;
@@ -183,7 +176,6 @@ class ByzantineCorruptionAdversary final : public Adversary {
     /// round from start_round on (safe: garbled senders just look silent
     /// to recipients that validate, so termination is never blocked).
     RoundNumber rounds = 0;
-    Mode mode = Mode::kMixed;
   };
 
   ByzantineCorruptionAdversary(Options options, std::uint64_t seed);

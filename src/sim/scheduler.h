@@ -47,8 +47,7 @@ namespace bil::sim {
 using VirtualTime = std::uint64_t;
 
 /// Numeric knobs for the delay schedulers, carried by
-/// harness::AdversarySpec::delay and api::ExperimentSpec::delay. The
-/// defaults describe lock-step timing (max_delay = 1, no timeouts), so a
+/// harness::AdversarySpec::delay. The defaults describe lock-step timing (max_delay = 1, no timeouts), so a
 /// default-constructed DelaySpec reproduces the synchronous schedule tick
 /// for tick.
 struct DelaySpec {

@@ -221,33 +221,13 @@ TEST(Sweep, ExplicitFastSimFailsFastWithActionableDiagnostic) {
     EXPECT_NE(what.find("not tree-based"), std::string::npos) << what;
     EXPECT_NE(what.find("engine"), std::string::npos) << what;
   }
-
-  cell.algorithm = Algorithm::kBallsIntoLeaves;
-  cell.max_rounds = 8;
-  try {
-    (void)api::select_backend(cell);
-    FAIL() << "round-capped cell must be rejected";
-  } catch (const ContractViolation& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("round cap"), std::string::npos) << what;
-  }
-  cell.max_rounds = 0;
-  EXPECT_TRUE(api::fast_sim_incompatibility(cell).empty());
-  cell.label_stride = 2;
-  EXPECT_NE(api::fast_sim_incompatibility(cell).find("labelling"),
-            std::string::npos);
 }
 
-TEST(Sweep, SeedModesAssignSeedsAsDocumented) {
+TEST(Sweep, RunSeedsAreSharedAcrossCells) {
   api::ExperimentSpec spec = mixed_grid_spec();
   spec.seed_base = 7;
   EXPECT_EQ(api::cell_run_seed(spec, 0, 0), 7u);
   EXPECT_EQ(api::cell_run_seed(spec, 3, 2), 9u);  // shared across cells
-
-  spec.seed_mode = api::SeedMode::kPerCell;
-  EXPECT_NE(api::cell_run_seed(spec, 0, 0), api::cell_run_seed(spec, 1, 0));
-  // Still deterministic.
-  EXPECT_EQ(api::cell_run_seed(spec, 1, 3), api::cell_run_seed(spec, 1, 3));
 }
 
 TEST(Sweep, SummariesOnlyUnlessKeepRuns) {

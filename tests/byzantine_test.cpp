@@ -14,9 +14,14 @@
 //     validate_renaming instead of aborting the run;
 //   * determinism — byte-identical reruns, thread-width invariance;
 //   * the leaf-conflict pass in isolation — handcrafted, engine-less inboxes
-//     pin eviction and the unstick rule ball by ball.
+//     pin eviction and the unstick rule ball by ball;
+//   * the bit-flip corruption adversary in isolation — hand-built rounds pin
+//     which senders and rounds it rewrites and the three garbles it draws.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <tuple>
@@ -27,6 +32,7 @@
 #include "core/messages.h"
 #include "core/seeds.h"
 #include "harness/runner.h"
+#include "sim/adversaries.h"
 #include "sim/engine.h"
 #include "tree/shape.h"
 #include "util/contract.h"
@@ -374,6 +380,98 @@ TEST(Byzantine, WireErrorEscapingOnReceiveQuarantinesTheProcess) {
   // A quarantined *honest* process is a validation failure, never a pass:
   // renaming promised it a name and it got none.
   EXPECT_THROW(sim::validate_renaming(result, 3), ContractViolation);
+}
+
+// -- the bit-flip corruption adversary in isolation ---------------------------
+
+// corrupt() on hand-built rounds: only the f lowest senders are rewritten,
+// only inside [start_round, start_round + rounds), and each payload gets one
+// of three garbles — 1-8 flipped bits at the same length, a truncation, or
+// 1-8 trailing junk bytes. A truncation may draw the full length, and two
+// flips may hit the same bit, so a rewrite can equal its original; the test
+// bounds how often (about 3 % of rewrites here).
+TEST(ByzantineCorruption, GarblesOnlyFaultySendersInsideTheWindow) {
+  constexpr std::uint32_t kN = 8;
+  constexpr std::uint32_t kFaulty = 3;
+  constexpr sim::RoundNumber kStart = 2;
+  constexpr sim::RoundNumber kRounds = 120;
+  sim::ByzantineCorruptionAdversary adversary(
+      {.byzantine = kFaulty, .start_round = kStart, .rounds = kRounds}, 99);
+  std::vector<sim::ProcessId> alive(kN);
+  for (sim::ProcessId id = 0; id < kN; ++id) {
+    alive[id] = id;
+  }
+
+  std::uint32_t flipped = 0;
+  std::uint32_t shorter = 0;
+  std::uint32_t longer = 0;
+  std::uint32_t unchanged = 0;
+  for (sim::RoundNumber round = 0; round < kStart + kRounds + 3; ++round) {
+    // Two broadcasts per sender, 5-16 bytes each, contents varying by
+    // round so repeated payloads cannot mask a missing rewrite.
+    std::vector<sim::Outbox> outboxes(kN);
+    for (sim::ProcessId id = 0; id < kN; ++id) {
+      for (std::uint32_t m = 0; m < 2; ++m) {
+        wire::Buffer payload(5 + (id + m + round) % 12);
+        for (std::size_t b = 0; b < payload.size(); ++b) {
+          payload[b] = static_cast<std::byte>(31 * round + 7 * id + b + m);
+        }
+        outboxes[id].broadcast(std::move(payload));
+      }
+    }
+    const sim::RoundView view(round, kN, alive, {}, outboxes, 0);
+    sim::CorruptionPlan plan;
+    adversary.corrupt(view, plan);
+
+    const bool firing = round >= kStart && round < kStart + kRounds;
+    if (!firing) {
+      EXPECT_TRUE(plan.empty()) << "round " << round;
+      continue;
+    }
+    ASSERT_EQ(plan.rewrites().size(), kFaulty) << "round " << round;
+    for (std::uint32_t k = 0; k < kFaulty; ++k) {
+      const sim::CorruptionPlan::Rewrite& rewrite = plan.rewrites()[k];
+      ASSERT_EQ(rewrite.sender, k);  // faulty senders only, in id order
+      EXPECT_EQ(rewrite.recipient, sim::kNoProcess);
+      const auto outgoing = view.outgoing(rewrite.sender);
+      ASSERT_EQ(rewrite.payloads.size(), outgoing.size());
+      for (std::size_t m = 0; m < outgoing.size(); ++m) {
+        const wire::Buffer& original = *outgoing[m].payload;
+        const wire::Buffer& garbled = *rewrite.payloads[m];
+        const std::size_t common = std::min(original.size(), garbled.size());
+        const bool prefix_kept = std::equal(
+            garbled.begin(), garbled.begin() + common, original.begin());
+        if (garbled.size() == original.size() && prefix_kept) {
+          ++unchanged;
+        } else if (garbled.size() == original.size()) {
+          std::uint32_t bits = 0;
+          for (std::size_t b = 0; b < original.size(); ++b) {
+            bits += std::popcount(
+                std::to_integer<std::uint8_t>(original[b] ^ garbled[b]));
+          }
+          EXPECT_LE(bits, 8u);
+          ++flipped;
+        } else if (garbled.size() < original.size()) {
+          EXPECT_TRUE(prefix_kept) << "a truncation keeps a prefix";
+          ++shorter;
+        } else {
+          EXPECT_TRUE(prefix_kept) << "junk is appended, not spliced in";
+          EXPECT_LE(garbled.size() - original.size(), 8u);
+          ++longer;
+        }
+      }
+    }
+  }
+  const std::uint32_t total = flipped + shorter + longer + unchanged;
+  EXPECT_EQ(total, kRounds * kFaulty * 2);
+  // All three garbles occur, each close to a third of the draws.
+  for (const std::uint32_t count : {flipped, shorter + unchanged, longer}) {
+    EXPECT_GT(count, total / 4);
+  }
+  // Unchanged rewrites are the rare full-length truncations (at most 1 in 6
+  // truncation draws, as payloads have at least 5 bytes) and cancelled
+  // flips.
+  EXPECT_LT(unchanged, shorter / 3);
 }
 
 }  // namespace

@@ -256,12 +256,12 @@ TEST(AppendixB, PhaseOneShiftsRanksByAtMostF) {
       sim::Engine engine(
           sim::EngineConfig{.num_processes = n, .max_crashes = f},
           harness::make_processes(config, shape),
-          std::make_unique<sim::BurstCrashAdversary>(
-              sim::BurstCrashAdversary::Options{
-                  .count = f,
-                  .when = 0,
-                  .subset_policy = sim::SubsetPolicy::kRandomHalf,
-                  .lowest_ids = false},
+          std::make_unique<sim::ObliviousCrashAdversary>(
+              n,
+              sim::ObliviousCrashAdversary::Options{
+                  .crashes = f,
+                  .horizon_rounds = 1,
+                  .subset_policy = sim::SubsetPolicy::kRandomHalf},
               derive_seed(seed, core::kSeedDomainAdversary, 0)));
       ASSERT_TRUE(engine.step());  // round 0: labels, f crash mid-send
       ASSERT_TRUE(engine.step());  // round 1: phase-1 candidate paths

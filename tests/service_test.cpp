@@ -468,10 +468,6 @@ TEST(ChurnService, RejectsNamespaceThatCannotDouble) {
           << error.what();
     }
   }
-  config.n = 128;
-  config.min_namespace = (std::uint32_t{1} << 30) + 1;
-  EXPECT_THROW(service::RenamingService(config, identity_runner()),
-               ContractViolation);
 }
 
 // A hold far beyond the horizon: no lease can expire in-window, and the

@@ -184,11 +184,11 @@ TEST(DeriveSeed, RegisteredDomainsArePairwiseDistinct) {
   // independent streams; a duplicate constant would silently correlate two
   // subsystems (e.g. the search optimizer replaying adversary coins).
   const std::uint64_t domains[] = {
-      core::kSeedDomainProcess,       core::kSeedDomainAdversary,
-      core::kSeedDomainHarness,       core::kSeedDomainSweep,
-      core::kSeedDomainChurnArrivals, core::kSeedDomainChurnLease,
-      core::kSeedDomainServiceInstance, core::kSeedDomainByzantine,
-      core::kSeedDomainSearch,        core::kSeedDomainSplitter};
+      core::kSeedDomainProcess,        core::kSeedDomainAdversary,
+      core::kSeedDomainHarness,        core::kSeedDomainChurnArrivals,
+      core::kSeedDomainChurnLease,     core::kSeedDomainServiceInstance,
+      core::kSeedDomainByzantine,      core::kSeedDomainSearch,
+      core::kSeedDomainSplitter};
   std::set<std::uint64_t> distinct_constants(std::begin(domains),
                                              std::end(domains));
   EXPECT_EQ(distinct_constants.size(), std::size(domains));
