@@ -94,8 +94,8 @@ bool fast_sim_compatible(const CellConfig& cell) {
 }
 
 std::string fast_sim_incompatibility(const CellConfig& cell) {
-  if (!algorithm_info(cell.algorithm).fast_sim_capable) {
-    return "fast-sim cannot execute algorithm '" +
+  if (!algorithm_info(cell.algorithm).fast_sim_capable()) {
+    return std::string("fast-sim cannot execute algorithm '") +
            algorithm_info(cell.algorithm).name +
            "' (not tree-based; only the tree-descent algorithms have a "
            "single-view symbolic execution) — use --backend engine";

@@ -9,58 +9,6 @@ namespace bil::api {
 
 namespace {
 
-using harness::Algorithm;
-
-std::vector<AlgorithmInfo> build_algorithm_registry() {
-  std::vector<AlgorithmInfo> entries = {
-      {.algorithm = Algorithm::kBallsIntoLeaves,
-       .name = harness::to_string(Algorithm::kBallsIntoLeaves),
-       .aliases = {"bil"},
-       .description =
-           "Balls-into-Leaves, Algorithm 1 (randomized, O(log log n) w.h.p.)"},
-      {.algorithm = Algorithm::kEarlyTerminating,
-       .name = harness::to_string(Algorithm::kEarlyTerminating),
-       .aliases = {"early"},
-       .description = "§6 early-terminating extension (deterministic phase 1, "
-                      "then random)"},
-      {.algorithm = Algorithm::kRankDescent,
-       .name = harness::to_string(Algorithm::kRankDescent),
-       .aliases = {"rank"},
-       .description = "deterministic rank-indexed descent every phase (§6's "
-                      "deterministic scheme)"},
-      {.algorithm = Algorithm::kHalving,
-       .name = harness::to_string(Algorithm::kHalving),
-       .aliases = {},
-       .description = "deterministic one-level-per-phase halving (Θ(log n); "
-                      "the Chaudhuri–Herlihy–Tuttle class)"},
-      {.algorithm = Algorithm::kGossip,
-       .name = harness::to_string(Algorithm::kGossip),
-       .aliases = {},
-       .description = "flooding agreement on the id set; t+1 rounds (linear "
-                      "baseline)",
-       .family = "gossip"},
-      {.algorithm = Algorithm::kNaiveBins,
-       .name = harness::to_string(Algorithm::kNaiveBins),
-       .aliases = {"bins"},
-       .description = "tree-free random claims with retry (naive "
-                      "balls-into-bins baseline)",
-       .family = "bins"},
-      {.algorithm = Algorithm::kSplitterNet,
-       .name = harness::to_string(Algorithm::kSplitterNet),
-       .aliases = {"splitter"},
-       .description = "Moir–Anderson splitter-network grid adapted to "
-                      "message passing (Θ(n) rounds, Θ((n+t)²) namespace)",
-       .family = "splitter"},
-  };
-  for (AlgorithmInfo& entry : entries) {
-    entry.fast_sim_capable = harness::is_tree_based(entry.algorithm);
-    if (entry.fast_sim_capable) {
-      entry.policy = harness::path_policy(entry.algorithm);
-    }
-  }
-  return entries;
-}
-
 /// The entry whose canonical name or alias is `name`; null when none is.
 template <typename Registry>
 const typename Registry::value_type* find_by_name(const Registry& registry,
@@ -88,9 +36,8 @@ std::string catalog(const Registry& registry) {
 
 }  // namespace
 
-const std::vector<AlgorithmInfo>& algorithm_registry() {
-  static const std::vector<AlgorithmInfo> registry = build_algorithm_registry();
-  return registry;
+std::span<const AlgorithmInfo> algorithm_registry() noexcept {
+  return harness::algorithm_table();
 }
 
 std::span<const AdversaryInfo> adversary_registry() noexcept {
@@ -98,13 +45,7 @@ std::span<const AdversaryInfo> adversary_registry() noexcept {
 }
 
 const AlgorithmInfo& algorithm_info(harness::Algorithm algorithm) {
-  for (const AlgorithmInfo& info : algorithm_registry()) {
-    if (info.algorithm == algorithm) {
-      return info;
-    }
-  }
-  BIL_REQUIRE(false, "algorithm enum value is not registered");
-  return algorithm_registry().front();
+  return harness::algorithm_descriptor(algorithm);
 }
 
 const AdversaryInfo& adversary_info(harness::AdversaryKind kind) {

@@ -14,6 +14,7 @@
 #include "api/registry.h"
 #include "core/balls_into_leaves.h"
 #include "util/contract.h"
+#include "util/thread_pool.h"
 
 namespace bil::api {
 
@@ -309,7 +310,7 @@ SweepResult SweepRunner::run() const {
   // leftover cores.
   const std::uint32_t budget =
       spec_.threads != 0 ? spec_.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
+                         : util::ThreadPool::hardware_threads();
   std::uint32_t engine_threads = spec_.engine_threads;
   if (engine_threads == 0) {
     engine_threads =

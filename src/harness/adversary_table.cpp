@@ -65,8 +65,6 @@ std::unique_ptr<sim::Adversary> targeted(const AdversarySpec& spec,
                                          std::uint32_t,
                                          std::uint64_t seed,
                                          const Shape& shape) {
-  BIL_REQUIRE(shape != nullptr,
-              "targeted adversaries require a tree-based algorithm");
   return std::make_unique<core::TargetedCollisionAdversary>(
       shape,
       core::TargetedCollisionAdversary::Options{.mode = kMode,
@@ -98,8 +96,6 @@ template <core::ByzantineLiarAdversary::Mode kMode>
 std::unique_ptr<sim::Adversary> liar(const AdversarySpec& spec,
                                      std::uint32_t, std::uint64_t seed,
                                      const Shape& shape) {
-  BIL_REQUIRE(shape != nullptr,
-              "Byzantine liar adversaries require a tree-based algorithm");
   return std::make_unique<core::ByzantineLiarAdversary>(
       shape,
       core::ByzantineLiarAdversary::Options{.byzantine = spec.byzantine,
@@ -172,6 +168,7 @@ constexpr AdversaryDescriptor kTable[] = {
                     "traffic-oracle fast path)",
      .route = FastSimRoute::kTrafficOracle,
      .reads = kTargetedKnobs,
+     .needs_tree = true,
      .build_adversary = targeted<TargetedMode::kContendedWinner>},
     {.kind = AdversaryKind::kTargetedAnnouncer,
      .name = "targeted-announcer",
@@ -181,6 +178,7 @@ constexpr AdversaryDescriptor kTable[] = {
                     "traffic-oracle fast path)",
      .route = FastSimRoute::kTrafficOracle,
      .reads = kTargetedKnobs,
+     .needs_tree = true,
      .build_adversary = targeted<TargetedMode::kDeepestAnnouncer>},
     {.kind = AdversaryKind::kByzantineBitFlip,
      .name = "byzantine-bitflip",
@@ -189,6 +187,7 @@ constexpr AdversaryDescriptor kTable[] = {
                     "truncation); undecodable traffic must read as silence",
      .fault_model = FaultModel::kByzantine,
      .reads = kByzantineKnobs,
+     .needs_tree = true,
      .build_adversary = bit_flip},
     {.kind = AdversaryKind::kByzantineLiar,
      .name = "byzantine-liar",
@@ -197,6 +196,7 @@ constexpr AdversaryDescriptor kTable[] = {
                     "(phantom occupancy, undetectable by construction)",
      .fault_model = FaultModel::kByzantine,
      .reads = kByzantineKnobs,
+     .needs_tree = true,
      .build_adversary = liar<LiarMode::kConsistentLies>},
     {.kind = AdversaryKind::kByzantineEquivocator,
      .name = "byzantine-equivocator",
@@ -206,6 +206,7 @@ constexpr AdversaryDescriptor kTable[] = {
                     "equivocation defers termination indefinitely)",
      .fault_model = FaultModel::kByzantine,
      .reads = kByzantineKnobs,
+     .needs_tree = true,
      .build_adversary = liar<LiarMode::kEquivocate>},
     {.kind = AdversaryKind::kBoundedDelay,
      .name = "bounded-delay",
@@ -242,23 +243,23 @@ const char* to_string(FaultModel model) noexcept {
   return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
-AdversarySpec AdversaryDescriptor::make(const AdversaryKnobs& knobs) const {
+AdversarySpec AdversaryDescriptor::make(const AdversarySpec& values) const {
   AdversarySpec spec{.kind = kind, .delay = {}};
   const auto copy = [](bool read, auto& field, auto value) {
     if (read) {
       field = value;
     }
   };
-  copy(reads.crashes, spec.crashes, knobs.crashes);
-  copy(reads.when, spec.when, knobs.when);
-  copy(reads.horizon, spec.horizon, knobs.horizon);
-  copy(reads.per_round, spec.per_round, knobs.per_round);
-  copy(reads.subset, spec.subset, knobs.subset);
-  copy(reads.byzantine, spec.byzantine, knobs.byzantine);
-  copy(reads.byzantine_rounds, spec.byzantine_rounds, knobs.byzantine_rounds);
-  copy(reads.max_delay, spec.delay.max_delay, knobs.max_delay);
-  copy(reads.gst, spec.delay.gst, knobs.gst);
-  copy(reads.timeout, spec.delay.timeout, knobs.timeout);
+  copy(reads.crashes, spec.crashes, values.crashes);
+  copy(reads.when, spec.when, values.when);
+  copy(reads.horizon, spec.horizon, values.horizon);
+  copy(reads.per_round, spec.per_round, values.per_round);
+  copy(reads.subset, spec.subset, values.subset);
+  copy(reads.byzantine, spec.byzantine, values.byzantine);
+  copy(reads.byzantine_rounds, spec.byzantine_rounds, values.byzantine_rounds);
+  copy(reads.max_delay, spec.delay.max_delay, values.delay.max_delay);
+  copy(reads.gst, spec.delay.gst, values.delay.gst);
+  copy(reads.timeout, spec.delay.timeout, values.delay.timeout);
   return spec;
 }
 

@@ -1,8 +1,8 @@
 // The adversary table: one descriptor per adversary kind, holding every
 // fact about it — name and aliases, fault model, fast-sim route, the knobs
-// its spec reads, and its factory. The runner, the api registry, backend
-// selection and the adversary search all read it; adding a kind means one
-// enum value and one row.
+// its spec reads, whether it needs a tree, and its factory. The runner, the
+// api registry, backend selection and the adversary search all read it;
+// adding a kind means one enum value and one row.
 //
 // The table is constexpr (C strings, flags, function pointers), so it is
 // constant-initialized: no static initializer in another translation unit
@@ -49,7 +49,7 @@ struct AdversarySpec {
   AdversaryKind kind = AdversaryKind::kNone;
   /// Crash budget t (and the planned crash count for oblivious/burst).
   std::uint32_t crashes = 0;
-  /// Burst round.
+  /// Burst round / eager start round.
   sim::RoundNumber when = 1;
   /// Oblivious crash-round horizon.
   sim::RoundNumber horizon = 8;
@@ -72,27 +72,7 @@ struct AdversarySpec {
   sim::DelaySpec delay;
 };
 
-/// Free-form knobs a kind's spec is built from (mirrors the CLI surface:
-/// --crashes, --burst-round, ...). Each field means what its AdversarySpec
-/// namesake does; a kind copies the fields its descriptor `reads` and
-/// leaves the rest of the spec at its defaults. The delay knobs default to
-/// d = 4 and GST = 8 (--delay, --gst), not to lock-step timing.
-struct AdversaryKnobs {
-  std::uint32_t crashes = 0;
-  /// Burst round / eager start round.
-  sim::RoundNumber when = 1;
-  sim::RoundNumber horizon = 8;
-  std::uint32_t per_round = 1;
-  sim::SubsetPolicy subset = sim::SubsetPolicy::kRandomHalf;
-  std::uint32_t byzantine = 0;
-  sim::RoundNumber byzantine_rounds = 0;
-  std::uint32_t max_delay = 4;
-  sim::VirtualTime gst = 8;
-  /// on_timeout budget in ticks (--timeout); 0 = off.
-  sim::VirtualTime timeout = 0;
-};
-
-/// The AdversaryKnobs fields a kind reads, one flag per field: crash,
+/// The AdversarySpec fields a kind reads, one flag per knob: crash,
 /// Byzantine and delay knobs.
 struct KnobSet {
   bool crashes = false, when = false, horizon = false, per_round = false,
@@ -152,6 +132,10 @@ struct AdversaryDescriptor {
   FastSimRoute route = FastSimRoute::kEngineOnly;
   /// The knobs make() copies into the spec.
   KnobSet reads = {};
+  /// True for the kinds that read the run's tree::TreeShape, so cannot
+  /// attack a baseline: the targeted and Byzantine kinds. make_adversary
+  /// rejects them without a shape.
+  bool needs_tree = false;
   /// Crash and Byzantine kinds; null for kNone (no adversary at all).
   AdversaryFactory build_adversary = nullptr;
   /// Delay kinds only.
@@ -166,9 +150,9 @@ struct AdversaryDescriptor {
   [[nodiscard]] constexpr bool fast_sim_capable() const noexcept {
     return route != FastSimRoute::kEngineOnly;
   }
-  /// A spec of this kind: the knobs in `reads` copied over, every other
-  /// field at its AdversarySpec default.
-  [[nodiscard]] AdversarySpec make(const AdversaryKnobs& knobs) const;
+  /// A spec of this kind: the knobs in `reads` copied over from `values`,
+  /// every other field (and `values.kind`) at its AdversarySpec default.
+  [[nodiscard]] AdversarySpec make(const AdversarySpec& values) const;
 };
 
 /// Every kind, in enum order: entry i describes AdversaryKind value i.

@@ -23,7 +23,10 @@ constexpr AdversaryKind kGenericAdversaries[] = {
     AdversaryKind::kBurst,
 };
 
-/// Tree-only adversaries (need the shared TreeShape).
+/// Adversaries the grid pins on the tree algorithms only. The targeted
+/// kinds need the shared TreeShape (their rows' `needs_tree`); sandwich and
+/// eager do not, and run on the baselines too, but the pinned grid keeps
+/// them on the tree rows.
 constexpr AdversaryKind kTreeAdversaries[] = {
     AdversaryKind::kSandwich,
     AdversaryKind::kEager,

@@ -1,6 +1,9 @@
 #include "harness/runner.h"
 
+#include <cstddef>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "baselines/gossip.h"
@@ -13,93 +16,153 @@
 
 namespace bil::harness {
 
+namespace {
+
+using Shape = std::shared_ptr<const tree::TreeShape>;
+using Process = std::unique_ptr<sim::ProcessBase>;
+using Observer = core::RecordingObserver;
+
+Process tree_process(const RunConfig& config, sim::Label label,
+                     std::uint64_t seed, const Shape& shape,
+                     Observer* observer) {
+  return std::make_unique<core::BallsIntoLeavesProcess>(
+      core::BallsIntoLeavesProcess::Options{
+          .num_names = config.n,
+          .label = label,
+          .seed = seed,
+          .policy = algorithm_descriptor(config.algorithm).policy,
+          .termination = config.termination,
+          .shape = shape,
+          .observer = observer,
+          .tolerate_byzantine = config.adversary.byzantine > 0});
+}
+
+Process gossip(const RunConfig& config, sim::Label label, std::uint64_t,
+               const Shape&, Observer*) {
+  const std::uint32_t t =
+      config.gossip_t == kWaitFree ? config.n - 1 : config.gossip_t;
+  return std::make_unique<baselines::GossipRenamingProcess>(
+      baselines::GossipRenamingProcess::Options{.label = label,
+                                                .max_crashes = t});
+}
+
+Process naive_bins(const RunConfig& config, sim::Label label,
+                   std::uint64_t seed, const Shape&, Observer*) {
+  return std::make_unique<baselines::NaiveBinsProcess>(
+      baselines::NaiveBinsProcess::Options{
+          .num_bins = config.n, .label = label, .seed = seed});
+}
+
+Process splitter_net(const RunConfig& config, sim::Label label,
+                     std::uint64_t, const Shape&, Observer*) {
+  return std::make_unique<baselines::SplitterNetProcess>(
+      baselines::SplitterNetProcess::Options{.n = config.n, .label = label});
+}
+
+constexpr const char* kBilAliases[] = {"bil"};
+constexpr const char* kEarlyAliases[] = {"early"};
+constexpr const char* kRankAliases[] = {"rank"};
+constexpr const char* kBinsAliases[] = {"bins"};
+constexpr const char* kSplitterAliases[] = {"splitter"};
+
+constexpr AlgorithmDescriptor kTable[] = {
+    {.algorithm = Algorithm::kBallsIntoLeaves,
+     .name = "balls-into-leaves",
+     .aliases = kBilAliases,
+     .description =
+         "Balls-into-Leaves, Algorithm 1 (randomized, O(log log n) w.h.p.)",
+     .policy = core::PathPolicy::kRandomWeighted,
+     .make_process = tree_process},
+    {.algorithm = Algorithm::kEarlyTerminating,
+     .name = "bil-early-term",
+     .aliases = kEarlyAliases,
+     .description = "§6 early-terminating extension (deterministic phase 1, "
+                    "then random)",
+     .policy = core::PathPolicy::kEarlyTerminating,
+     .make_process = tree_process},
+    {.algorithm = Algorithm::kRankDescent,
+     .name = "rank-descent",
+     .aliases = kRankAliases,
+     .description = "deterministic rank-indexed descent every phase (§6's "
+                    "deterministic scheme)",
+     .policy = core::PathPolicy::kRankedSlack,
+     .make_process = tree_process},
+    {.algorithm = Algorithm::kHalving,
+     .name = "halving",
+     .description = "deterministic one-level-per-phase halving (Θ(log n); "
+                    "the Chaudhuri–Herlihy–Tuttle class)",
+     .policy = core::PathPolicy::kHalvingSplit,
+     .make_process = tree_process},
+    {.algorithm = Algorithm::kGossip,
+     .name = "gossip",
+     .description = "flooding agreement on the id set; t+1 rounds (linear "
+                    "baseline)",
+     .family = AlgorithmFamily::kGossip,
+     .make_process = gossip},
+    {.algorithm = Algorithm::kNaiveBins,
+     .name = "naive-bins",
+     .aliases = kBinsAliases,
+     .description = "tree-free random claims with retry (naive "
+                    "balls-into-bins baseline)",
+     .family = AlgorithmFamily::kBins,
+     .make_process = naive_bins},
+    // The splitter network renames into its grid's Θ((n+t)²) namespace,
+    // not the tight 1..n namespace the tree algorithms and bins target.
+    {.algorithm = Algorithm::kSplitterNet,
+     .name = "splitter-net",
+     .aliases = kSplitterAliases,
+     .description = "Moir–Anderson splitter-network grid adapted to "
+                    "message passing (Θ(n) rounds, Θ((n+t)²) namespace)",
+     .family = AlgorithmFamily::kSplitter,
+     .make_process = splitter_net,
+     .namespace_bound = baselines::SplitterNetProcess::namespace_bound},
+};
+
+// Entry i describes enum value i (tests/api_registry_test.cpp checks the
+// order); algorithm_descriptor indexes by value.
+static_assert(std::size(kTable) ==
+                  static_cast<std::size_t>(Algorithm::kSplitterNet) + 1,
+              "algorithm_table() needs one row per Algorithm");
+
+}  // namespace
+
+std::span<const AlgorithmDescriptor> algorithm_table() noexcept {
+  return kTable;
+}
+
+const AlgorithmDescriptor& algorithm_descriptor(Algorithm algorithm) {
+  const auto index = static_cast<std::size_t>(algorithm);
+  BIL_REQUIRE(index < std::size(kTable),
+              "algorithm enum value is not registered");
+  return kTable[index];
+}
+
 const char* to_string(Algorithm algorithm) noexcept {
-  switch (algorithm) {
-    case Algorithm::kBallsIntoLeaves:
-      return "balls-into-leaves";
-    case Algorithm::kEarlyTerminating:
-      return "bil-early-term";
-    case Algorithm::kRankDescent:
-      return "rank-descent";
-    case Algorithm::kHalving:
-      return "halving";
-    case Algorithm::kGossip:
-      return "gossip";
-    case Algorithm::kNaiveBins:
-      return "naive-bins";
-    case Algorithm::kSplitterNet:
-      return "splitter-net";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(algorithm);
+  return index < std::size(kTable) ? kTable[index].name : "unknown";
+}
+
+const char* to_string(AlgorithmFamily family) noexcept {
+  constexpr const char* kNames[] = {"tree", "gossip", "bins", "splitter"};
+  const auto index = static_cast<std::size_t>(family);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 bool is_tree_based(Algorithm algorithm) noexcept {
-  return algorithm != Algorithm::kGossip &&
-         algorithm != Algorithm::kNaiveBins &&
-         algorithm != Algorithm::kSplitterNet;
+  const auto index = static_cast<std::size_t>(algorithm);
+  return index < std::size(kTable) && kTable[index].fast_sim_capable();
 }
 
-core::PathPolicy path_policy(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kBallsIntoLeaves:
-      return core::PathPolicy::kRandomWeighted;
-    case Algorithm::kEarlyTerminating:
-      return core::PathPolicy::kEarlyTerminating;
-    case Algorithm::kRankDescent:
-      return core::PathPolicy::kRankedSlack;
-    case Algorithm::kHalving:
-      return core::PathPolicy::kHalvingSplit;
-    default:
-      BIL_REQUIRE(false, "algorithm has no path policy");
-      return core::PathPolicy::kRandomWeighted;
-  }
-}
-
-std::vector<std::unique_ptr<sim::ProcessBase>> make_processes(
-    const RunConfig& config,
-    const std::shared_ptr<const tree::TreeShape>& shape,
-    core::RecordingObserver* observer) {
-  std::vector<std::unique_ptr<sim::ProcessBase>> processes;
+std::vector<Process> make_processes(const RunConfig& config,
+                                    const Shape& shape, Observer* observer) {
+  const AlgorithmDescriptor& row = algorithm_descriptor(config.algorithm);
+  std::vector<Process> processes;
   processes.reserve(config.n);
-  const bool byzantine = config.adversary.byzantine > 0;
   for (sim::ProcessId id = 0; id < config.n; ++id) {
-    const sim::Label label = config.label_offset + config.label_stride * id;
-    const std::uint64_t seed =
-        derive_seed(config.seed, core::kSeedDomainProcess, id);
-    switch (config.algorithm) {
-      case Algorithm::kGossip: {
-        const std::uint32_t t =
-            config.gossip_t == kWaitFree ? config.n - 1 : config.gossip_t;
-        processes.push_back(std::make_unique<baselines::GossipRenamingProcess>(
-            baselines::GossipRenamingProcess::Options{.label = label,
-                                                      .max_crashes = t}));
-        break;
-      }
-      case Algorithm::kNaiveBins:
-        processes.push_back(std::make_unique<baselines::NaiveBinsProcess>(
-            baselines::NaiveBinsProcess::Options{
-                .num_bins = config.n, .label = label, .seed = seed}));
-        break;
-      case Algorithm::kSplitterNet:
-        processes.push_back(std::make_unique<baselines::SplitterNetProcess>(
-            baselines::SplitterNetProcess::Options{.n = config.n,
-                                                   .label = label}));
-        break;
-      default:
-        processes.push_back(
-            std::make_unique<core::BallsIntoLeavesProcess>(
-                core::BallsIntoLeavesProcess::Options{
-                    .num_names = config.n,
-                    .label = label,
-                    .seed = seed,
-                    .policy = path_policy(config.algorithm),
-                    .termination = config.termination,
-                    .shape = shape,
-                    .observer =
-                        id == config.n - 1 ? observer : nullptr,
-                    .tolerate_byzantine = byzantine}));
-        break;
-    }
+    processes.push_back(row.make_process(
+        config, config.label_offset + config.label_stride * id,
+        derive_seed(config.seed, core::kSeedDomainProcess, id), shape,
+        id == config.n - 1 ? observer : nullptr));
   }
   return processes;
 }
@@ -120,6 +183,9 @@ std::unique_ptr<sim::Adversary> make_adversary(
   if (row.build_adversary == nullptr || (byzantine && spec.byzantine == 0)) {
     return nullptr;
   }
+  BIL_REQUIRE(!row.needs_tree || shape != nullptr,
+              std::string("adversary '") + row.name +
+                  "' requires a tree-based algorithm");
   // Byzantine kinds draw from their own seed domain so that adding wire
   // corruption to a run never perturbs a crash schedule it rides on.
   const std::uint64_t domain =
@@ -182,14 +248,9 @@ RunSummary run_renaming(const RunConfig& config) {
       std::move(processes),
       make_scheduler(config.adversary, config.n, config.seed, shape));
   sim::RunResult result = engine.run();
-  // The splitter network renames into its grid's Θ((n+t)²) namespace, not
-  // the tight 1..n namespace the tree algorithms and bins target.
-  const std::uint64_t namespace_size =
-      config.algorithm == Algorithm::kSplitterNet
-          ? baselines::SplitterNetProcess::namespace_bound(
-                config.n, config.adversary.crashes)
-          : config.n;
-  sim::validate_renaming(result, namespace_size);
+  sim::validate_renaming(
+      result, algorithm_descriptor(config.algorithm)
+                  .namespace_size(config.n, config.adversary.crashes));
 
   RunSummary summary;
   summary.completed = result.completed;

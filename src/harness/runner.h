@@ -3,10 +3,14 @@
 // Every run executed through this harness is validated against the three
 // renaming properties (termination, validity, uniqueness) before its summary
 // is returned — tools, examples and tests cannot report numbers from
-// an incorrect run.
+// an incorrect run. The algorithm table lives here too, as the adversary
+// table does in harness/adversary_table.h: adding an algorithm means one
+// enum value and one row.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/balls_into_leaves.h"
@@ -18,25 +22,16 @@
 
 namespace bil::harness {
 
-/// The renaming algorithms available to experiments.
+/// The renaming algorithms available to experiments. Each value is
+/// described once, by its row of algorithm_table(): name, aliases,
+/// description, family, path policy, process factory and namespace bound.
 enum class Algorithm : std::uint8_t {
-  /// Balls-into-Leaves, Algorithm 1 (randomized, O(log log n) w.h.p.).
   kBallsIntoLeaves,
-  /// §6 early-terminating extension (deterministic phase 1, then random).
   kEarlyTerminating,
-  /// Deterministic rank-indexed descent in every phase (§6's deterministic
-  /// scheme; comparison-based).
   kRankDescent,
-  /// Deterministic one-level-per-phase halving (Θ(log n) always; the
-  /// complexity class of the Chaudhuri–Herlihy–Tuttle baseline).
   kHalving,
-  /// Flooding agreement on the id set; t+1 rounds (linear baseline).
   kGossip,
-  /// Tree-free random claims with retry (naive balls-into-bins baseline).
   kNaiveBins,
-  /// Moir–Anderson splitter-network grid adapted to message passing
-  /// (Θ(n) rounds into a Θ((n+t)²) namespace; the classic renaming
-  /// construction the separation claims compare against).
   kSplitterNet,
 };
 
@@ -46,10 +41,6 @@ enum class Algorithm : std::uint8_t {
 /// path policy. Only they share a tree::TreeShape, carry the Byzantine
 /// validation layer, and have a single-view fast simulation.
 [[nodiscard]] bool is_tree_based(Algorithm algorithm) noexcept;
-
-/// The candidate-path policy of a tree-based algorithm; throws
-/// ContractViolation for the baselines.
-[[nodiscard]] core::PathPolicy path_policy(Algorithm algorithm);
 
 /// Sentinel for RunConfig::gossip_t: resolve t to n-1 (tolerate every
 /// process but one crashing — the wait-free setting).
@@ -82,6 +73,60 @@ struct RunConfig {
   /// A non-null trace forces serial execution regardless of engine_threads.
   sim::TraceSink* trace = nullptr;
 };
+
+/// How an algorithm is built: the tree-descent variants, or one family per
+/// baseline (flooding agreement, blind random claims, the splitter grid).
+enum class AlgorithmFamily : std::uint8_t { kTree, kGossip, kBins, kSplitter };
+
+[[nodiscard]] const char* to_string(AlgorithmFamily family) noexcept;
+
+/// Builds one process of a run. make_processes derives the inputs the same
+/// way for every algorithm: `label` from RunConfig's label rule, `seed` =
+/// derive_seed(config.seed, kSeedDomainProcess, id), `shape` the run's tree
+/// (null for the baselines), and `observer` non-null only for id n-1.
+using ProcessFactory = std::unique_ptr<sim::ProcessBase> (*)(
+    const RunConfig& config, sim::Label label, std::uint64_t seed,
+    const std::shared_ptr<const tree::TreeShape>& shape,
+    core::RecordingObserver* observer);
+
+/// The namespace size n processes rename into under crash budget `crashes`.
+using NamespaceBound = std::uint64_t (*)(std::uint32_t n,
+                                         std::uint32_t crashes);
+
+struct AlgorithmDescriptor {
+  Algorithm algorithm = Algorithm::kBallsIntoLeaves;
+  /// Canonical name (harness::to_string(algorithm)).
+  const char* name = "";
+  /// Short CLI aliases, also accepted by name lookup.
+  std::span<const char* const> aliases = {};
+  const char* description = "";
+  AlgorithmFamily family = AlgorithmFamily::kTree;
+  /// The candidate-path policy of a tree row; meaningful only when
+  /// fast_sim_capable().
+  core::PathPolicy policy = core::PathPolicy::kRandomWeighted;
+  ProcessFactory make_process = nullptr;
+  /// Null for the algorithms that rename into exactly 1..n.
+  NamespaceBound namespace_bound = nullptr;
+
+  /// True for the tree rows, which the single-view fast simulator executes.
+  [[nodiscard]] constexpr bool fast_sim_capable() const noexcept {
+    return family == AlgorithmFamily::kTree;
+  }
+  /// The namespace size sim::validate_renaming checks a run's names
+  /// against.
+  [[nodiscard]] std::uint64_t namespace_size(std::uint32_t n,
+                                             std::uint32_t crashes) const {
+    return namespace_bound != nullptr ? namespace_bound(n, crashes) : n;
+  }
+};
+
+/// Every algorithm, in enum order: entry i describes Algorithm value i.
+[[nodiscard]] std::span<const AlgorithmDescriptor> algorithm_table() noexcept;
+
+/// The row of `algorithm` (throws ContractViolation for a value outside
+/// the enum).
+[[nodiscard]] const AlgorithmDescriptor& algorithm_descriptor(
+    Algorithm algorithm);
 
 struct RunSummary {
   bool completed = false;
@@ -123,7 +168,8 @@ struct RunSummary {
 /// kSeedDomainAdversary, 0), same subset RNG stream) against its symbolic
 /// execution. Returns null for kNone and for a zero Byzantine budget.
 /// `shape` is only consulted by the protocol-aware (targeted and liar)
-/// kinds. Rejects the delay kinds, which make_scheduler builds.
+/// kinds; a kind whose row `needs_tree` is rejected without one. Rejects
+/// the delay kinds, which make_scheduler builds.
 [[nodiscard]] std::unique_ptr<sim::Adversary> make_adversary(
     const AdversarySpec& spec, std::uint32_t n, std::uint64_t run_seed,
     const std::shared_ptr<const tree::TreeShape>& shape = nullptr);

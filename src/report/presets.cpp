@@ -1334,8 +1334,6 @@ const char* to_string(Metric metric) noexcept {
       return "mean rounds";
     case Metric::kRoundsMax:
       return "max rounds";
-    case Metric::kMessagesMean:
-      return "mean messages";
     case Metric::kBytesPerMessage:
       return "bytes/message";
     case Metric::kBroadcastRatio:
@@ -1344,8 +1342,6 @@ const char* to_string(Metric metric) noexcept {
       return "mean crashes";
     case Metric::kMaxLoadMax:
       return "max load";
-    case Metric::kChurnNamesPerRound:
-      return "names/round";
     case Metric::kChurnThroughputRatio:
       return "throughput ratio";
     case Metric::kChurnLatencyP50:

@@ -71,8 +71,6 @@ enum class Metric : std::uint8_t {
   kRoundsMean,
   /// Worst observed rounds across the point's runs.
   kRoundsMax,
-  /// Mean physical deliveries per run.
-  kMessagesMean,
   /// Mean payload bytes per delivered message (bytes.mean / messages.mean).
   kBytesPerMessage,
   /// messages / (n² · total_rounds): 1.0 exactly for a crash-free
@@ -85,9 +83,8 @@ enum class Metric : std::uint8_t {
   /// Two-choice series only: worst max-load over the point's runs.
   kMaxLoadMax,
   /// Churn series only — steady-state service metrics (mean over seeds).
-  /// Names assigned per service round.
-  kChurnNamesPerRound,
-  /// names/round divided by the spec's mean arrival rate (1.0 = keeps up).
+  /// Names assigned per service round divided by the spec's mean arrival
+  /// rate (1.0 = keeps up).
   kChurnThroughputRatio,
   /// Rounds-to-name median within a horizon.
   kChurnLatencyP50,

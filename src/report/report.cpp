@@ -134,8 +134,6 @@ double metric_value(const SeriesPoint& point, Metric metric) {
       return point.rounds.mean;
     case Metric::kRoundsMax:
       return point.rounds.max;
-    case Metric::kMessagesMean:
-      return point.messages.mean;
     case Metric::kBytesPerMessage:
       BIL_REQUIRE(point.bytes_measured && point.messages.mean > 0,
                   "bytes/message needs an engine-backed point");
@@ -152,9 +150,6 @@ double metric_value(const SeriesPoint& point, Metric metric) {
       BIL_REQUIRE(point.max_load.count > 0,
                   "max load is a two-choice metric");
       return point.max_load.max;
-    case Metric::kChurnNamesPerRound:
-      BIL_REQUIRE(point.churn.enabled, "names/round is a churn metric");
-      return point.churn.names_per_round.mean;
     case Metric::kChurnThroughputRatio:
       BIL_REQUIRE(point.churn.enabled, "throughput ratio is a churn metric");
       return point.churn.throughput_ratio.mean;

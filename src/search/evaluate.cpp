@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "baselines/splitter_net.h"
 #include "core/fast_sim_crash.h"
 #include "core/fast_sim_targeted.h"
 #include "search/genome_adversary.h"
@@ -55,7 +54,7 @@ EvalOutcome evaluate_fast(const ScheduleGenome& genome) {
   core::CrashFastSimOptions options;
   options.n = genome.n;
   options.seed = genome.run_seed;
-  options.policy = harness::path_policy(genome.algorithm);
+  options.policy = harness::algorithm_descriptor(genome.algorithm).policy;
   options.max_crashes = genome.budget;
   const core::CrashFastSimResult result =
       oracle ? core::run_fast_sim_targeted(options, adversary.get())
@@ -98,12 +97,9 @@ EvalOutcome evaluate_engine(const ScheduleGenome& genome) {
       harness::make_processes(config, shape),
       make_genome_adversary(genome, shape));
   sim::RunResult result = engine.run();
-  const std::uint64_t namespace_size =
-      genome.algorithm == harness::Algorithm::kSplitterNet
-          ? baselines::SplitterNetProcess::namespace_bound(genome.n,
-                                                           genome.budget)
-          : genome.n;
-  sim::validate_renaming(result, namespace_size);
+  sim::validate_renaming(
+      result, harness::algorithm_descriptor(genome.algorithm)
+                  .namespace_size(genome.n, genome.budget));
   EvalOutcome outcome;
   outcome.completed = result.completed;
   outcome.rounds = result.last_decide_round() + 1;

@@ -10,22 +10,12 @@ namespace bil::search {
 namespace {
 
 /// The genome JSON uses canonical harness names (not CLI aliases), so the
-/// search layer needs no dependency on the api registry. Every enum value
-/// must be listed here; parse_genome rejects anything else.
-constexpr harness::Algorithm kAllAlgorithms[] = {
-    harness::Algorithm::kBallsIntoLeaves,
-    harness::Algorithm::kEarlyTerminating,
-    harness::Algorithm::kRankDescent,
-    harness::Algorithm::kHalving,
-    harness::Algorithm::kGossip,
-    harness::Algorithm::kNaiveBins,
-    harness::Algorithm::kSplitterNet,
-};
-
+/// search layer needs no dependency on the api registry; parse_genome
+/// rejects anything else.
 harness::Algorithm parse_algorithm_name(std::string_view name) {
-  for (const harness::Algorithm algorithm : kAllAlgorithms) {
-    if (name == harness::to_string(algorithm)) {
-      return algorithm;
+  for (const harness::AlgorithmDescriptor& row : harness::algorithm_table()) {
+    if (name == row.name) {
+      return row.algorithm;
     }
   }
   BIL_REQUIRE(false, "genome JSON: unknown algorithm '" + std::string(name) +

@@ -76,6 +76,7 @@ void FlagSet::add_bool(const std::string& name, bool* value,
 
 void FlagSet::set_value(const std::string& name, Flag& flag,
                         const std::string& value) {
+  flag.given = true;
   switch (flag.kind) {
     case Kind::kString:
       *static_cast<std::string*>(flag.target) = value;
@@ -139,6 +140,7 @@ bool FlagSet::parse(int argc, const char* const* argv) {
       const auto it = flags_.find(base);
       if (it != flags_.end() && it->second.kind == Kind::kBool) {
         *static_cast<bool*>(it->second.target) = !negated;
+        it->second.given = true;
         continue;
       }
     }
@@ -153,6 +155,12 @@ bool FlagSet::parse(int argc, const char* const* argv) {
     set_value(name, it->second, *value);
   }
   return true;
+}
+
+bool FlagSet::given(const std::string& name) const {
+  const auto it = flags_.find(name);
+  BIL_REQUIRE(it != flags_.end(), "unknown flag --" + name);
+  return it->second.given;
 }
 
 std::string FlagSet::suggestion_for(const std::string& name) const {

@@ -38,6 +38,11 @@ class FlagSet {
   /// unknown flags.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
+  /// True when parse() saw --name (or its --no- spelling) on the command
+  /// line, even at the flag's default value; throws ContractViolation for
+  /// an unregistered name.
+  [[nodiscard]] bool given(const std::string& name) const;
+
   /// The generated usage text.
   [[nodiscard]] std::string usage() const;
 
@@ -53,6 +58,7 @@ class FlagSet {
     void* target;
     std::string help;
     std::string default_repr;
+    bool given = false;
   };
 
   void set_value(const std::string& name, Flag& flag,

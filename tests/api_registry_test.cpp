@@ -5,12 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "api/backend.h"
 #include "api/registry.h"
+#include "baselines/gossip.h"
+#include "baselines/naive_bins.h"
+#include "baselines/splitter_net.h"
+#include "core/balls_into_leaves.h"
+#include "tree/shape.h"
 #include "util/contract.h"
 
 namespace bil {
@@ -41,7 +48,7 @@ TEST(Registry, EveryAdversaryNameRoundTrips) {
 
 TEST(Registry, CanonicalNamesMatchHarnessToString) {
   for (const api::AlgorithmInfo& info : api::algorithm_registry()) {
-    EXPECT_EQ(info.name, harness::to_string(info.algorithm));
+    EXPECT_STREQ(info.name, harness::to_string(info.algorithm));
   }
   for (const api::AdversaryInfo& info : api::adversary_registry()) {
     EXPECT_EQ(info.name, harness::to_string(info.kind));
@@ -66,11 +73,12 @@ TEST(Registry, NamesAndAliasesAreUnique) {
 }
 
 TEST(Registry, AdversaryFactoriesProduceTheirOwnKind) {
-  const api::AdversaryKnobs knobs{.crashes = 8,
-                                  .when = 3,
-                                  .horizon = 12,
-                                  .per_round = 2,
-                                  .subset = sim::SubsetPolicy::kAlternating};
+  const AdversarySpec knobs{.crashes = 8,
+                            .when = 3,
+                            .horizon = 12,
+                            .per_round = 2,
+                            .subset = sim::SubsetPolicy::kAlternating,
+                            .delay = {.max_delay = 4, .gst = 8}};
   for (const api::AdversaryInfo& info : api::adversary_registry()) {
     const harness::AdversarySpec spec = info.make(knobs);
     EXPECT_EQ(spec.kind, info.kind) << info.name;
@@ -78,8 +86,11 @@ TEST(Registry, AdversaryFactoriesProduceTheirOwnKind) {
 }
 
 TEST(Registry, FactoriesApplyTheirRelevantKnobs) {
-  const api::AdversaryKnobs knobs{
-      .crashes = 8, .when = 3, .horizon = 12, .per_round = 2};
+  const AdversarySpec knobs{.crashes = 8,
+                            .when = 3,
+                            .horizon = 12,
+                            .per_round = 2,
+                            .delay = {.max_delay = 4, .gst = 8}};
   const harness::AdversarySpec oblivious =
       api::parse_adversary("oblivious").make(knobs);
   EXPECT_EQ(oblivious.crashes, 8u);
@@ -93,7 +104,7 @@ TEST(Registry, FactoriesApplyTheirRelevantKnobs) {
 TEST(Registry, EveryEnumValueIsRegistered) {
   // algorithm_info / adversary_info are total over the enums.
   for (const api::AlgorithmInfo& info : api::algorithm_registry()) {
-    EXPECT_EQ(api::algorithm_info(info.algorithm).name, info.name);
+    EXPECT_STREQ(api::algorithm_info(info.algorithm).name, info.name);
   }
   for (const api::AdversaryInfo& info : api::adversary_registry()) {
     EXPECT_EQ(api::adversary_info(info.kind).name, info.name);
@@ -142,37 +153,40 @@ TEST(Registry, BackendNamesRoundTrip) {
 }
 
 TEST(Registry, FastSimCapabilityMatchesTreeAlgorithms) {
-  EXPECT_TRUE(api::parse_algorithm("bil").fast_sim_capable);
-  EXPECT_TRUE(api::parse_algorithm("early").fast_sim_capable);
-  EXPECT_TRUE(api::parse_algorithm("rank").fast_sim_capable);
-  EXPECT_TRUE(api::parse_algorithm("halving").fast_sim_capable);
-  EXPECT_FALSE(api::parse_algorithm("gossip").fast_sim_capable);
-  EXPECT_FALSE(api::parse_algorithm("bins").fast_sim_capable);
-  EXPECT_FALSE(api::parse_algorithm("splitter").fast_sim_capable);
+  EXPECT_TRUE(api::parse_algorithm("bil").fast_sim_capable());
+  EXPECT_TRUE(api::parse_algorithm("early").fast_sim_capable());
+  EXPECT_TRUE(api::parse_algorithm("rank").fast_sim_capable());
+  EXPECT_TRUE(api::parse_algorithm("halving").fast_sim_capable());
+  EXPECT_FALSE(api::parse_algorithm("gossip").fast_sim_capable());
+  EXPECT_FALSE(api::parse_algorithm("bins").fast_sim_capable());
+  EXPECT_FALSE(api::parse_algorithm("splitter").fast_sim_capable());
 }
 
 TEST(Registry, FamiliesGroupAlgorithmsByConstruction) {
   // The family column (bil_run --list-algorithms) classifies each entry by
   // its construction: the four tree policies, and one family per baseline.
-  EXPECT_EQ(api::parse_algorithm("bil").family, "tree");
-  EXPECT_EQ(api::parse_algorithm("early").family, "tree");
-  EXPECT_EQ(api::parse_algorithm("rank").family, "tree");
-  EXPECT_EQ(api::parse_algorithm("halving").family, "tree");
-  EXPECT_EQ(api::parse_algorithm("gossip").family, "gossip");
-  EXPECT_EQ(api::parse_algorithm("bins").family, "bins");
-  EXPECT_EQ(api::parse_algorithm("splitter").family, "splitter");
+  const auto family = [](std::string_view name) -> std::string_view {
+    return harness::to_string(api::parse_algorithm(name).family);
+  };
+  EXPECT_EQ(family("bil"), "tree");
+  EXPECT_EQ(family("early"), "tree");
+  EXPECT_EQ(family("rank"), "tree");
+  EXPECT_EQ(family("halving"), "tree");
+  EXPECT_EQ(family("gossip"), "gossip");
+  EXPECT_EQ(family("bins"), "bins");
+  EXPECT_EQ(family("splitter"), "splitter");
   for (const api::AlgorithmInfo& info : api::algorithm_registry()) {
-    EXPECT_TRUE(info.family == "tree" || info.family == "gossip" ||
-                info.family == "bins" || info.family == "splitter")
-        << info.name << " has unknown family '" << info.family << "'";
+    const std::string_view text = harness::to_string(info.family);
+    EXPECT_TRUE(text == "tree" || text == "gossip" || text == "bins" ||
+                text == "splitter")
+        << info.name << " has unknown family '" << text << "'";
   }
 }
 
 // The knobs -> spec mapping each registry entry carried as its own
 // hand-written lambda before the adversary table derived it from the
 // kind's knob set. Kept verbatim as the reference the table must match.
-AdversarySpec reference_spec(AdversaryKind kind,
-                             const api::AdversaryKnobs& knobs) {
+AdversarySpec reference_spec(AdversaryKind kind, const AdversarySpec& knobs) {
   switch (kind) {
     case AdversaryKind::kNone:
       return AdversarySpec{.kind = AdversaryKind::kNone, .delay = {}};
@@ -229,14 +243,14 @@ AdversarySpec reference_spec(AdversaryKind kind,
                            .delay = {}};
     case AdversaryKind::kBoundedDelay:
       return AdversarySpec{.kind = AdversaryKind::kBoundedDelay,
-                           .delay = {.max_delay = knobs.max_delay,
+                           .delay = {.max_delay = knobs.delay.max_delay,
                                      .gst = 0,
-                                     .timeout = knobs.timeout}};
+                                     .timeout = knobs.delay.timeout}};
     case AdversaryKind::kGst:
       return AdversarySpec{.kind = AdversaryKind::kGst,
-                           .delay = {.max_delay = knobs.max_delay,
-                                     .gst = knobs.gst,
-                                     .timeout = knobs.timeout}};
+                           .delay = {.max_delay = knobs.delay.max_delay,
+                                     .gst = knobs.delay.gst,
+                                     .timeout = knobs.delay.timeout}};
   }
   ADD_FAILURE() << "kind without a reference spec";
   return {};
@@ -266,7 +280,7 @@ TEST(AdversaryTable, KnobsToSpecMatchesTheReferenceOnRandomKnobs) {
   for (int trial = 0; trial < 1000; ++trial) {
     // Small values most of the time, the full range now and then.
     const std::uint64_t range = trial % 10 == 0 ? kMax32 : 64;
-    api::AdversaryKnobs knobs;
+    AdversarySpec knobs;
     knobs.crashes = static_cast<std::uint32_t>(draw(range));
     knobs.when = static_cast<sim::RoundNumber>(draw(range));
     knobs.horizon = static_cast<sim::RoundNumber>(draw(range));
@@ -274,12 +288,11 @@ TEST(AdversaryTable, KnobsToSpecMatchesTheReferenceOnRandomKnobs) {
     knobs.subset = static_cast<sim::SubsetPolicy>(draw(3));
     knobs.byzantine = static_cast<std::uint32_t>(draw(range));
     knobs.byzantine_rounds = static_cast<sim::RoundNumber>(draw(range));
-    knobs.max_delay = static_cast<std::uint32_t>(draw(range));
-    knobs.gst = draw(trial % 10 == 0 ? std::numeric_limits<std::uint64_t>::max()
-                                     : 64);
-    knobs.timeout = draw(trial % 10 == 0
-                             ? std::numeric_limits<std::uint64_t>::max()
-                             : 64);
+    knobs.delay.max_delay = static_cast<std::uint32_t>(draw(range));
+    knobs.delay.gst = draw(
+        trial % 10 == 0 ? std::numeric_limits<std::uint64_t>::max() : 64);
+    knobs.delay.timeout = draw(
+        trial % 10 == 0 ? std::numeric_limits<std::uint64_t>::max() : 64);
     for (const api::AdversaryInfo& info : api::adversary_registry()) {
       expect_same_spec(info.make(knobs), reference_spec(info.kind, knobs),
                        info.name);
@@ -314,12 +327,39 @@ TEST(AdversaryTable, RowsAreConsistent) {
               row.route == harness::FastSimRoute::kCrashFree)
         << row.name;
     EXPECT_STREQ(harness::to_string(row.kind), row.name);
+    // Exactly the kinds that read the tree cannot attack a baseline: both
+    // targeted kinds and the Byzantine kinds.
+    EXPECT_EQ(row.needs_tree,
+              row.route == harness::FastSimRoute::kTrafficOracle ||
+                  row.fault_model == harness::FaultModel::kByzantine)
+        << row.name;
+  }
+}
+
+TEST(AdversaryTable, TreeKindsAreRejectedWithoutAShape) {
+  for (const api::AdversaryInfo& info : api::adversary_registry()) {
+    if (!info.needs_tree) {
+      continue;
+    }
+    const AdversarySpec spec =
+        info.make(AdversarySpec{.crashes = 2, .byzantine = 2, .delay = {}});
+    try {
+      (void)harness::make_adversary(spec, 16, 1);
+      ADD_FAILURE() << info.name << " built without a shape";
+    } catch (const ContractViolation& violation) {
+      const std::string what = violation.what();
+      EXPECT_NE(what.find(std::string("'") + info.name + "'"),
+                std::string::npos)
+          << what;
+    }
+    EXPECT_NE(harness::make_adversary(spec, 16, 1, tree::TreeShape::make(16)),
+              nullptr)
+        << info.name;
   }
 }
 
 TEST(AdversaryTable, AutoSelectionSwitchesAtEachRoutesThreshold) {
-  api::AdversaryKnobs knobs;
-  knobs.crashes = 4;
+  AdversarySpec knobs{.crashes = 4, .delay = {.max_delay = 4, .gst = 8}};
   for (const api::AdversaryInfo& info : api::adversary_registry()) {
     api::CellConfig cell;
     cell.adversary = info.make(knobs);
@@ -343,6 +383,68 @@ TEST(AdversaryTable, AutoSelectionSwitchesAtEachRoutesThreshold) {
             api::kAutoFastSimCrashMinN);
   EXPECT_EQ(api::auto_fast_sim_min_n(harness::FastSimRoute::kTrafficOracle),
             api::kAutoFastSimTargetedMinN);
+}
+
+TEST(AlgorithmTable, RowsAreConsistent) {
+  const auto table = harness::algorithm_table();
+  ASSERT_EQ(table.size(),
+            static_cast<std::size_t>(harness::Algorithm::kSplitterNet) + 1);
+  std::set<core::PathPolicy> policies;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const harness::AlgorithmDescriptor& row = table[i];
+    EXPECT_EQ(static_cast<std::size_t>(row.algorithm), i) << row.name;
+    EXPECT_STREQ(harness::to_string(row.algorithm), row.name);
+    EXPECT_EQ(harness::is_tree_based(row.algorithm), row.fast_sim_capable())
+        << row.name;
+    const bool tree = row.family == harness::AlgorithmFamily::kTree;
+    EXPECT_EQ(tree, row.fast_sim_capable()) << row.name;
+    if (tree) {
+      // Each tree row descends under its own path policy, into 1..n.
+      EXPECT_TRUE(policies.insert(row.policy).second) << row.name;
+      EXPECT_EQ(row.namespace_bound, nullptr) << row.name;
+      EXPECT_EQ(row.namespace_size(64, 8), 64u) << row.name;
+    }
+
+    // The row's factory builds that algorithm's process type.
+    harness::RunConfig config;
+    config.algorithm = row.algorithm;
+    config.n = 8;
+    ASSERT_NE(row.make_process, nullptr) << row.name;
+    const std::unique_ptr<sim::ProcessBase> process = row.make_process(
+        config, 1, 7, tree ? tree::TreeShape::make(config.n) : nullptr,
+        nullptr);
+    const sim::ProcessBase* built = process.get();
+    switch (row.family) {
+      case harness::AlgorithmFamily::kTree:
+        EXPECT_NE(dynamic_cast<const core::BallsIntoLeavesProcess*>(built),
+                  nullptr)
+            << row.name;
+        break;
+      case harness::AlgorithmFamily::kGossip:
+        EXPECT_NE(
+            dynamic_cast<const baselines::GossipRenamingProcess*>(built),
+            nullptr)
+            << row.name;
+        break;
+      case harness::AlgorithmFamily::kBins:
+        EXPECT_NE(dynamic_cast<const baselines::NaiveBinsProcess*>(built),
+                  nullptr)
+            << row.name;
+        break;
+      case harness::AlgorithmFamily::kSplitter:
+        EXPECT_NE(dynamic_cast<const baselines::SplitterNetProcess*>(built),
+                  nullptr)
+            << row.name;
+        break;
+    }
+  }
+  // Only the splitter grid renames outside 1..n, into its own bound.
+  EXPECT_EQ(harness::algorithm_descriptor(harness::Algorithm::kSplitterNet)
+                .namespace_size(64, 8),
+            baselines::SplitterNetProcess::namespace_bound(64, 8));
+  EXPECT_EQ(harness::algorithm_descriptor(harness::Algorithm::kGossip)
+                .namespace_size(64, 8),
+            64u);
 }
 
 }  // namespace

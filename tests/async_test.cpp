@@ -316,7 +316,8 @@ TEST(AsyncLayers, RegistryAndFastSimDiagnostics) {
 
     api::CellConfig cell;
     cell.n = 64;
-    cell.adversary = info.make(api::AdversaryKnobs{});
+    cell.adversary = info.make(
+        harness::AdversarySpec{.delay = {.max_delay = 4, .gst = 8}});
     const std::string diagnostic = api::fast_sim_incompatibility(cell);
     EXPECT_NE(diagnostic.find("engine"), std::string::npos) << diagnostic;
     // kAuto must route delay cells to the engine, never the fast path.

@@ -1,7 +1,7 @@
 // End-to-end tests of the bil_run command line: the registry listings match
-// their pinned fixtures byte for byte, and a budget flag the chosen
-// adversary does not read is rejected by name instead of being dropped
-// from the run.
+// their pinned fixtures byte for byte, and an adversary flag the chosen
+// kind does not read is rejected by name instead of being dropped from the
+// run, even when given at its default value.
 //
 // The fixtures (tests/fixtures/list_*.txt) pin the listing text exactly;
 // regenerate them only for a deliberate change to a name, alias,
@@ -78,6 +78,9 @@ TEST(Cli, UnreadBudgetsAreRejectedByFlagName) {
       {"--adversary=targeted-winner --crashes=4 --gst=8", "--gst"},
       {"--adversary=bounded-delay --gst=8", "--gst"},
       {"--delay=3 --crashes=2", "--crashes"},
+      {"--adversary=burst --crashes=4 --horizon=4", "--horizon"},
+      {"--adversary=sandwich --crashes=4 --burst-round=2", "--burst-round"},
+      {"--adversary=none --horizon=8", "--horizon"},
   };
   for (const Case& c : cases) {
     const CliResult result =
@@ -94,6 +97,7 @@ TEST(Cli, UnreadBudgetsAreRejectedByFlagName) {
 TEST(Cli, ReadBudgetsStillRun) {
   const char* const accepted[] = {
       "--adversary=eager --crashes=4",
+      "--adversary=eager --crashes=4 --burst-round=2 --per-round=3",
       "--adversary=byzantine-liar --byzantine=2 --byzantine-rounds=3",
       "--delay=3 --timeout=2",
       "--delay=3 --gst=8 --timeout=2",

@@ -165,7 +165,7 @@ void expect_identical_results(const harness::RunConfig& config,
 TEST(EngineParallel, EveryAlgorithmEveryAdversaryIsThreadCountInvariant) {
   constexpr std::uint32_t kN = 48;
   constexpr std::uint64_t kSeed = 0xD15EA5E;
-  api::AdversaryKnobs knobs;
+  harness::AdversarySpec knobs{.delay = {.max_delay = 4, .gst = 8}};
   knobs.crashes = kN / 4;
   knobs.per_round = 2;
   knobs.byzantine = kN / 8;
@@ -174,13 +174,7 @@ TEST(EngineParallel, EveryAlgorithmEveryAdversaryIsThreadCountInvariant) {
   knobs.byzantine_rounds = 6;
   for (const api::AlgorithmInfo& algorithm : api::algorithm_registry()) {
     for (const api::AdversaryInfo& adversary : api::adversary_registry()) {
-      const bool tree_only =
-          adversary.kind == harness::AdversaryKind::kSandwich ||
-          adversary.kind == harness::AdversaryKind::kEager ||
-          adversary.kind == harness::AdversaryKind::kTargetedWinner ||
-          adversary.kind == harness::AdversaryKind::kTargetedAnnouncer ||
-          adversary.fault_model == harness::FaultModel::kByzantine;
-      if (tree_only && !algorithm.fast_sim_capable) {
+      if (adversary.needs_tree && !algorithm.fast_sim_capable()) {
         continue;  // tree adversaries require a tree-based algorithm
       }
       harness::RunConfig config;
@@ -189,7 +183,7 @@ TEST(EngineParallel, EveryAlgorithmEveryAdversaryIsThreadCountInvariant) {
       config.seed = kSeed;
       config.adversary = adversary.make(knobs);
       const std::string what =
-          algorithm.name + " / " + adversary.name;
+          std::string(algorithm.name) + " / " + adversary.name;
       expect_identical_results(config, what.c_str());
     }
   }

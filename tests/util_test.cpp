@@ -261,13 +261,24 @@ TEST(Flags, ParsesAllStyles) {
   flags.add_string("name", &name, "a name");
   flags.add_uint("count", &count, "a count");
   flags.add_bool("verbose", &verbose, "chatty");
+  std::string mode = "fast";
+  std::uint64_t level = 3;
+  flags.add_string("mode", &mode, "a mode");
+  flags.add_uint("level", &level, "a level");
 
   const auto argv =
-      args({"--name=alpha", "--count", "42", "--verbose"});
+      args({"--name=alpha", "--count", "42", "--verbose", "--mode=fast"});
   EXPECT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_EQ(name, "alpha");
   EXPECT_EQ(count, 42u);
   EXPECT_TRUE(verbose);
+  // given() reports what the command line named, even at a default value.
+  EXPECT_TRUE(flags.given("name"));
+  EXPECT_TRUE(flags.given("count"));
+  EXPECT_TRUE(flags.given("verbose"));
+  EXPECT_TRUE(flags.given("mode"));
+  EXPECT_FALSE(flags.given("level"));
+  EXPECT_THROW((void)flags.given("nope"), ContractViolation);
 }
 
 TEST(Flags, BooleanNegation) {
@@ -277,6 +288,7 @@ TEST(Flags, BooleanNegation) {
   const auto argv = args({"--no-verbose"});
   EXPECT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_FALSE(verbose);
+  EXPECT_TRUE(flags.given("verbose"));
 }
 
 TEST(Flags, HelpShortCircuits) {

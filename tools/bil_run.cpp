@@ -15,6 +15,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/backend.h"
@@ -51,10 +52,10 @@ void list_algorithms_table(std::ostream& os) {
   os << "registered algorithms:\n";
   for (const api::AlgorithmInfo& info : api::algorithm_registry()) {
     os << "  " << info.name;
-    for (const std::string& alias : info.aliases) {
+    for (const char* alias : info.aliases) {
       os << " (" << alias << ')';
     }
-    os << "  [family: " << info.family << "]\n"
+    os << "  [family: " << harness::to_string(info.family) << "]\n"
        << "      " << info.description << '\n';
   }
 }
@@ -201,18 +202,10 @@ int main(int argc, char** argv) {
   std::uint32_t seeds = 5;
   std::uint64_t seed_base = 1;
   std::string adversary = "none";
-  // Numeric knobs that land in uint32 spec fields are parsed through the
-  // range-checked add_uint32 path: out-of-range (or negative-looking) input
-  // fails with a diagnostic instead of wrapping through a static_cast.
-  std::uint32_t crashes = 0;
-  std::uint32_t burst_round = 1;
-  std::uint32_t horizon = 8;
-  std::uint32_t per_round = 2;
-  std::uint32_t byzantine = 0;
-  std::uint32_t byzantine_rounds = 0;
-  std::uint32_t delay = 0;
-  std::uint64_t gst = 0;
-  std::uint64_t timeout = 0;
+  // The adversary flags bind to one spec; the chosen kind's make() keeps
+  // the fields it reads. uint32 fields parse through the range-checked
+  // add_uint32 path, so out-of-range input fails instead of wrapping.
+  harness::AdversarySpec knobs{.per_round = 2, .delay = {.max_delay = 0}};
   std::string backend = "auto";
   std::string churn;
   std::uint32_t churn_rounds = 4096;
@@ -240,29 +233,30 @@ int main(int argc, char** argv) {
   flags.add_uint32("seeds", &seeds, "independent runs per grid cell");
   flags.add_uint("seed-base", &seed_base, "first seed");
   flags.add_string("adversary", &adversary, api::adversary_catalog());
-  flags.add_uint32("crashes", &crashes, "crash budget t (and planned count)");
-  flags.add_uint32("burst-round", &burst_round,
+  flags.add_uint32("crashes", &knobs.crashes,
+                   "crash budget t (and planned count)");
+  flags.add_uint32("burst-round", &knobs.when,
                    "round for --adversary=burst (eager start round)");
-  flags.add_uint32("horizon", &horizon,
+  flags.add_uint32("horizon", &knobs.horizon,
                    "crash-round horizon for --adversary=oblivious");
-  flags.add_uint32("per-round", &per_round,
+  flags.add_uint32("per-round", &knobs.per_round,
                    "victims per firing round (sandwich/eager/targeted)");
-  flags.add_uint32("byzantine", &byzantine,
+  flags.add_uint32("byzantine", &knobs.byzantine,
                    "Byzantine budget f for the byzantine-* adversaries "
                    "(wire-corrupting senders; engine backend only)");
-  flags.add_uint32("byzantine-rounds", &byzantine_rounds,
+  flags.add_uint32("byzantine-rounds", &knobs.byzantine_rounds,
                    "corrupting-round window for the byzantine-* adversaries "
                    "(0 = unbounded; cap the equivocator)");
-  flags.add_uint32("delay", &delay,
+  flags.add_uint32("delay", &knobs.delay.max_delay,
                    "delay bound d for the asynchronous adversaries: each "
                    "message batch arrives 1..d ticks after the send "
                    "(0 = default 4; d=1 is bit-identical to synchronous; "
                    "implies --adversary=bounded-delay when none is set)");
-  flags.add_uint("gst", &gst,
+  flags.add_uint("gst", &knobs.delay.gst,
                  "global stabilization tick: delays are adversarial before "
                  "GST, synchronous after (0 = default 8; implies "
                  "--adversary=gst when none is set)");
-  flags.add_uint("timeout", &timeout,
+  flags.add_uint("timeout", &knobs.delay.timeout,
                  "on_timeout budget in ticks for the delay adversaries: a "
                  "round whose next delivery is further out fires the "
                  "processes' timeout hook once (0 = off)");
@@ -342,42 +336,36 @@ int main(int argc, char** argv) {
     // hasn't picked one: a delay bound means bounded-delay, a stabilization
     // tick means partial synchrony (gst wins when both are given).
     if (adversary == "none") {
-      if (gst > 0) {
+      if (knobs.delay.gst > 0) {
         adversary = "gst";
-      } else if (delay > 0) {
+      } else if (knobs.delay.max_delay > 0) {
         adversary = "bounded-delay";
       }
     }
-    // A budget the chosen kind does not read would vanish silently from
-    // the run — reject it instead, naming the flag.
+    // --delay=0 and --gst=0 stand for d = 4 and GST = 8.
+    sim::DelaySpec& delay = knobs.delay;
+    delay.max_delay = delay.max_delay == 0 ? 4 : delay.max_delay;
+    delay.gst = delay.gst == 0 ? 8 : delay.gst;
+    // A flag the chosen kind does not read would vanish silently from the
+    // run — reject it instead, naming the flag, even at its default value.
     const api::AdversaryInfo& chosen = api::parse_adversary(adversary);
-    const auto require_read = [&chosen](bool given, bool read,
-                                        const char* flag) {
-      BIL_REQUIRE(!given || read,
-                  std::string(flag) + " is not read by adversary '" +
+    const harness::KnobSet& reads = chosen.reads;
+    const std::pair<const char*, bool> adversary_flags[] = {
+        {"crashes", reads.crashes},     {"burst-round", reads.when},
+        {"horizon", reads.horizon},     {"per-round", reads.per_round},
+        {"byzantine", reads.byzantine}, {"timeout", reads.timeout},
+        {"byzantine-rounds", reads.byzantine_rounds},
+        {"delay", reads.max_delay},     {"gst", reads.gst}};
+    for (const auto& [flag, read] : adversary_flags) {
+      BIL_REQUIRE(read || !flags.given(flag),
+                  "--" + std::string(flag) + " is not read by adversary '" +
                       chosen.name +
                       "' — drop it or pick an adversary that reads it "
                       "(see --list-adversaries)");
-    };
-    require_read(crashes != 0, chosen.reads.crashes, "--crashes");
-    require_read(byzantine != 0, chosen.reads.byzantine, "--byzantine");
-    require_read(byzantine_rounds != 0, chosen.reads.byzantine_rounds,
-                 "--byzantine-rounds");
-    require_read(delay != 0, chosen.reads.max_delay, "--delay");
-    require_read(gst != 0, chosen.reads.gst, "--gst");
-    require_read(timeout != 0, chosen.reads.timeout, "--timeout");
-    spec.adversaries = {chosen.make(
-        api::AdversaryKnobs{.crashes = crashes,
-                            .when = burst_round,
-                            .horizon = horizon,
-                            .per_round = per_round,
-                            .byzantine = byzantine,
-                            .byzantine_rounds = byzantine_rounds,
-                            .max_delay = delay == 0 ? 4 : delay,
-                            .gst = gst == 0 ? 8 : gst,
-                            .timeout = timeout})};
+    }
+    spec.adversaries = {chosen.make(knobs)};
     BIL_REQUIRE(seeds >= 1, "--seeds must be at least 1");
-    BIL_REQUIRE(horizon >= 1, "--horizon must be at least 1");
+    BIL_REQUIRE(knobs.horizon >= 1, "--horizon must be at least 1");
     spec.seeds = seeds;
     spec.seed_base = seed_base;
     spec.backend = api::parse_backend(backend);
@@ -440,7 +428,7 @@ int main(int argc, char** argv) {
       if (!csv) {
         std::cout << api::algorithm_info(cell.config.algorithm).name
                   << ", n=" << cell.config.n << ", adversary=" << adversary
-                  << " (t=" << crashes << "), backend="
+                  << " (t=" << knobs.crashes << "), backend="
                   << to_string(cell.backend_used) << "\n\n";
       }
       print_run_table(cell, csv);
