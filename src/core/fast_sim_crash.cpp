@@ -1,10 +1,10 @@
 #include "core/fast_sim_crash.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "core/delivery_classes.h"
 #include "core/seeds.h"
 #include "tree/local_view.h"
 #include "util/contract.h"
@@ -27,10 +27,10 @@ struct Ghost {
   std::vector<char> members;
 };
 
-/// Capacity overlay: the canonical view plus the ghost entries a specific
+/// Count overlay: the canonical view plus the ghost entries a specific
 /// ball's local view still contains. Satisfies the view concept the policy
-/// samplers are templated over; remaining_capacity saturates at 0 exactly
-/// like tree::LocalTreeView (stale entries can overfill a subtree).
+/// samplers are templated over; they saturate capacities at 0 exactly like
+/// tree::LocalTreeView (stale entries can overfill a subtree).
 class GhostedView {
  public:
   GhostedView(const tree::LocalTreeView& base,
@@ -41,22 +41,16 @@ class GhostedView {
     return base_.shape();
   }
 
-  [[nodiscard]] std::uint32_t remaining_capacity(tree::NodeId node) const {
-    // Most balls hold no ghost (every ball, without crashes). Reading the
-    // view directly then keeps a crash-free run with a phase observer as
-    // fast as the crash-free executor this simulator replaced.
-    if (extras_.empty()) {
-      return base_.remaining_capacity(node);
-    }
+  [[nodiscard]] std::uint32_t balls_in_subtree(tree::NodeId node) const {
     std::uint32_t balls = base_.balls_in_subtree(node);
-    const tree::TreeShape& shape = base_.shape();
+    // Most balls hold no ghost (every ball, without crashes), and then this
+    // is the view's own count.
     for (const tree::NodeId extra : extras_) {
-      if (shape.is_ancestor_or_self(node, extra)) {
+      if (base_.shape().is_ancestor_or_self(node, extra)) {
         ++balls;
       }
     }
-    const std::uint32_t leaves = shape.leaf_count(node);
-    return balls >= leaves ? 0 : leaves - balls;
+    return balls;
   }
 
  private:
@@ -75,9 +69,9 @@ class CrashFastSim {
         view_(shape_),
         status_(options.n, Status::kAlive),
         targets_(options.n, tree::kNoNode),
-        new_pos_(options.n, tree::kNoNode),
         names_(options.n, 0),
-        seen_(options.n, 0) {
+        seen_(options.n, 0),
+        classes_(options.n) {
     rngs_.reserve(options.n);
     for (std::uint32_t i = 0; i < options.n; ++i) {
       rngs_.emplace_back(derive_seed(options.seed, kSeedDomainProcess, i));
@@ -147,17 +141,15 @@ class CrashFastSim {
               : sim::make_schedule_view(round, options_.n, alive_, budget);
       adversary_->schedule(view, plan);
     }
-    std::vector<char> crashed_this_round(options_.n, 0);
     deliver_to_.resize(plan.crashes().size());
     for (std::size_t v = 0; v < plan.crashes().size(); ++v) {
       const sim::CrashPlan::Crash& crash = plan.crashes()[v];
       BIL_REQUIRE(crash.victim < options_.n, "crash victim id out of range");
-      BIL_REQUIRE(status_[crash.victim] == Status::kAlive &&
-                      crashed_this_round[crash.victim] == 0,
+      // A victim named twice in one plan is already kCrashed here.
+      BIL_REQUIRE(status_[crash.victim] == Status::kAlive,
                   "adversary crashed a process that is not alive");
       BIL_REQUIRE(crashes_so_far_ < options_.max_crashes,
                   "adversary exceeded its crash budget t");
-      crashed_this_round[crash.victim] = 1;
       status_[crash.victim] = Status::kCrashed;
       ++crashes_so_far_;
       --alive_count_;
@@ -208,9 +200,9 @@ class CrashFastSim {
 
   /// Odd rounds: candidate-path exchange and <R-ordered capacity-clipped
   /// movement. Crash-subset delivery partitions the alive balls into
-  /// delivery classes; each realized class's movement is simulated
-  /// separately, and each ball's canonical position becomes its own class's
-  /// outcome (what it would announce — and every view adopt — next round).
+  /// delivery classes; each ball's canonical position becomes its own
+  /// class's outcome (what it would announce — and every view adopt — next
+  /// round).
   void process_path_round(const sim::CrashPlan& plan) {
     const std::span<const sim::CrashPlan::Crash> crashes = plan.crashes();
     if (crashes.empty()) {
@@ -222,59 +214,14 @@ class CrashFastSim {
       return;
     }
 
-    // Delivery class of ball b = the ascending list of this round's victim
-    // indices whose final path broadcast b received. (Grouping is by exact
-    // key, never by hash: two balls share a movement simulation iff their
-    // inboxes are identical.)
-    std::vector<std::vector<std::uint32_t>> received(options_.n);
-    for (std::uint32_t v = 0; v < crashes.size(); ++v) {
-      for (const sim::ProcessId recipient : deliver_to_[v]) {
-        if (status_[recipient] == Status::kAlive) {
-          received[recipient].push_back(v);
-        }
-      }
-    }
-    std::map<std::vector<std::uint32_t>, std::vector<sim::ProcessId>> classes;
-    for (const sim::ProcessId id : alive_) {
-      if (status_[id] == Status::kAlive) {
-        classes[std::move(received[id])].push_back(id);
-      }
-    }
-
-    for (const auto& [key, members] : classes) {
-      // The canonical view still holds this round's victims at their
-      // phase-start positions — exactly what every inbox's movement
-      // simulation starts from. Victims whose path is in the class's inbox
-      // descend; the others are removed at their <R turn (the
-      // load-bearing interleaving of Algorithm 1, lines 12–20).
-      tree::LocalTreeView sim_view = view_;
-      for (const sim::Label label : sim_view.ordered_balls()) {
-        const auto id = static_cast<std::uint32_t>(label);
-        if (status_[id] == Status::kCrashed) {
-          const std::uint32_t victim_index = victim_index_of(crashes, id);
-          if (!std::binary_search(key.begin(), key.end(), victim_index)) {
-            sim_view.remove(label);
-            continue;
-          }
-        }
-        sim_view.descend_toward(label, targets_[id]);
-      }
-      for (const sim::ProcessId id : members) {
-        new_pos_[id] = sim_view.current(id);
-      }
-    }
-
-    // Fold the per-class outcomes back into the canonical view: victims
-    // leave every view by the end of the next round without further
-    // effect, survivors land at their own class's position.
+    // Each survivor lands at its own delivery class's outcome, and the
+    // victims leave every view by the end of the next round without
+    // further effect (core/delivery_classes.h).
+    victims_.clear();
     for (const sim::CrashPlan::Crash& crash : crashes) {
-      view_.remove(crash.victim);
+      victims_.push_back(crash.victim);
     }
-    for (const auto& [key, members] : classes) {
-      for (const sim::ProcessId id : members) {
-        view_.reposition(id, new_pos_[id]);
-      }
-    }
+    classes_.move(view_, targets_, alive_, victims_, deliver_to_);
   }
 
   /// Even rounds > 0: position synchronization, ghost creation for this
@@ -418,17 +365,6 @@ class CrashFastSim {
     }
   }
 
-  [[nodiscard]] static std::uint32_t victim_index_of(
-      std::span<const sim::CrashPlan::Crash> crashes, std::uint32_t victim) {
-    for (std::uint32_t v = 0; v < crashes.size(); ++v) {
-      if (crashes[v].victim == victim) {
-        return v;
-      }
-    }
-    BIL_ENSURE(false, "crashed ball is not among this round's victims");
-    return 0;
-  }
-
   CrashFastSimOptions options_;
   sim::Adversary* adversary_;
   AdversaryViewOracle* oracle_;
@@ -438,7 +374,6 @@ class CrashFastSim {
   std::vector<Rng> rngs_;
   std::vector<sim::ProcessId> alive_;
   std::vector<tree::NodeId> targets_;
-  std::vector<tree::NodeId> new_pos_;
   std::vector<sim::Label> halted_pending_;
   std::vector<Ghost> ghosts_;
   std::vector<std::uint64_t> names_;
@@ -447,6 +382,9 @@ class CrashFastSim {
   /// seen_[id] == stamp_ iff id is already in the crash being collected.
   std::vector<std::uint32_t> seen_;
   std::uint32_t stamp_ = 0;
+  /// This round's victims, in plan order.
+  std::vector<sim::ProcessId> victims_;
+  DeliveryClassMover classes_;
   std::uint32_t alive_count_ = 0;
   std::uint32_t crashes_so_far_ = 0;
   std::uint64_t deliveries_ = 0;

@@ -21,10 +21,10 @@
 //      The next position round removes it from every view (silent), and
 //      position processing has no capacity interactions — so the crash's
 //      entire effect is captured by partitioning the alive balls into
-//      *delivery classes* (which victims' paths they received) and running
-//      one movement simulation per realized class. Every ball's announced
-//      position — which round 2 makes canonical everywhere — is its own
-//      class's outcome.
+//      *delivery classes* (which victims' paths they received) and moving
+//      each realized class (core/delivery_classes.h carries them as count
+//      deltas on one base pass). Every ball's announced position — which
+//      round 2 makes canonical everywhere — is its own class's outcome.
 //   2. A victim crashed during the **init round or a position round**
 //      persists one extra round as a *ghost*: a stale entry present only in
 //      the views that received its final broadcast. A ghost influences
@@ -56,14 +56,22 @@
 // names and delivery counts — for every tree algorithm × oblivious
 // adversary × subset policy on a shared grid.
 //
-// Cost: O(n log n) per phase plus O(C · n log n) for a crash round that
-// realizes C delivery classes (one movement simulation per class), plus the
-// O(Σ|subset|) the adversary itself spends materializing delivery subsets.
-// C is 1 for kSilent/kAll deliveries, 2 for kAlternating (membership is a
-// parity), and at most 2^k (clamped by n) for k simultaneous kRandomHalf
-// victims — so keep per-round victim counts moderate at large n (the
-// report presets do; the engine remains the executor for dense random-half
-// bursts).
+// Cost: O(n log n) per phase. A crash round that realizes C delivery
+// classes adds O(Σ|subset| + C·k) to partition the survivors among k
+// victims, and then moves them in one base pass plus, for each of the other
+// C − 1 classes, a re-simulation of only the balls whose descent reads a
+// subtree count that differs from the base's (core/delivery_classes.h):
+// in phase 1, where every ball sits at the root, that is most balls after
+// the first victim the classes treat differently; from phase 2 on, only
+// the balls on root paths through the victims' and the changed balls'
+// nodes. Only changed outcomes are folded back. Classes past the eighth
+// cost one more base pass per eight, and each carried class holds a count
+// overlay of 5 bytes per node. C is 1 for kSilent/kAll deliveries, 2 for
+// the eager cells' kAlternating rounds (membership is a parity), and at
+// most 2^k (clamped by n) for k simultaneous kRandomHalf victims — so keep
+// per-round victim counts moderate at large n (the report presets do; the
+// engine remains the executor for dense random-half bursts). The adversary
+// itself adds the O(Σ|subset|) it spends materializing delivery subsets.
 //
 // Protocol-aware adversaries — strategies that decode the round's traffic
 // off the wire instead of consulting only the schedule — are served through

@@ -52,37 +52,48 @@ enum class PathPolicy : std::uint8_t {
 [[nodiscard]] const char* to_string(PathPolicy policy) noexcept;
 
 // The samplers below are templates over the view type: any type exposing
-// `shape()` and `remaining_capacity(NodeId)` with LocalTreeView's semantics
-// (saturating at 0) works. The engine instantiates them with the concrete
+// `shape()` and `balls_in_subtree(NodeId)` with LocalTreeView's semantics
+// works. The engine instantiates them with the concrete
 // tree::LocalTreeView; the crash-capable fast simulator instantiates them
 // with a ghost-adjusted overlay (core/fast_sim_crash.cpp) so that a ball
 // whose view still contains a crashed peer's stale entry draws exactly the
-// coins the engine's diverged view would.
+// coins the engine's diverged view would. They walk with a
+// tree::SubtreeCursor, so no step reads the shape's node records: each
+// step reads two subtree counts and nothing else.
+
+/// The paper's RemainingCapacity of the cursor's subtree in `view`,
+/// saturating at 0 like tree::LocalTreeView::remaining_capacity (stale
+/// crashed entries can overfill a subtree).
+template <typename View>
+[[nodiscard]] std::uint64_t spare_capacity(const View& view,
+                                           const tree::SubtreeCursor& at) {
+  const std::uint32_t balls = view.balls_in_subtree(at.node);
+  return balls >= at.leaves ? 0 : at.leaves - balls;
+}
 
 /// ABLATION sampler (PathPolicy::kRandomUniform): like the paper's walk but
 /// with unweighted 1/2 coins wherever both subtrees have capacity.
 template <typename View>
 [[nodiscard]] tree::NodeId sample_uniform_leaf(const View& view,
                                                tree::NodeId from, Rng& rng) {
-  const tree::TreeShape& shape = view.shape();
-  tree::NodeId node = from;
-  while (!shape.is_leaf(node)) {
-    const tree::NodeId left = shape.left(node);
-    const tree::NodeId right = shape.right(node);
-    const std::uint64_t cap_left = view.remaining_capacity(left);
-    const std::uint64_t cap_right = view.remaining_capacity(right);
+  tree::SubtreeCursor at = view.shape().cursor(from);
+  while (!at.is_leaf()) {
+    const tree::SubtreeCursor left = at.left();
+    const tree::SubtreeCursor right = at.right();
+    const std::uint64_t cap_left = spare_capacity(view, left);
+    const std::uint64_t cap_right = spare_capacity(view, right);
     if (cap_left + cap_right == 0) {
-      return shape.leaf_at(shape.first_leaf(node));  // see sample_weighted_leaf
+      return view.shape().leaf_at(at.first_leaf);  // see sample_weighted_leaf
     }
     if (cap_left == 0) {
-      node = right;
+      at = right;
     } else if (cap_right == 0) {
-      node = left;
+      at = left;
     } else {
-      node = rng.bernoulli_ratio(1, 2) ? left : right;
+      at = rng.bernoulli_ratio(1, 2) ? left : right;
     }
   }
-  return node;
+  return at.node;
 }
 
 /// Paper §4, Algorithm 1 lines 5–10. Starting at `from`, repeatedly choose
@@ -103,21 +114,20 @@ template <typename View>
 template <typename View>
 [[nodiscard]] tree::NodeId sample_weighted_leaf(const View& view,
                                                 tree::NodeId from, Rng& rng) {
-  const tree::TreeShape& shape = view.shape();
-  tree::NodeId node = from;
-  while (!shape.is_leaf(node)) {
-    const tree::NodeId left = shape.left(node);
-    const tree::NodeId right = shape.right(node);
-    const std::uint64_t cap_left = view.remaining_capacity(left);
-    const std::uint64_t cap_right = view.remaining_capacity(right);
+  tree::SubtreeCursor at = view.shape().cursor(from);
+  while (!at.is_leaf()) {
+    const tree::SubtreeCursor left = at.left();
+    const tree::SubtreeCursor right = at.right();
+    const std::uint64_t cap_left = spare_capacity(view, left);
+    const std::uint64_t cap_right = spare_capacity(view, right);
     if (cap_left + cap_right == 0) {
       // Both subtrees read full (possible only through stale crashed
-      // entries). Movement will clip at `node`; aim anywhere below.
-      return shape.leaf_at(shape.first_leaf(node));
+      // entries). Movement will clip at this node; aim anywhere below.
+      return view.shape().leaf_at(at.first_leaf);
     }
-    node = rng.bernoulli_ratio(cap_left, cap_left + cap_right) ? left : right;
+    at = rng.bernoulli_ratio(cap_left, cap_left + cap_right) ? left : right;
   }
-  return node;
+  return at.node;
 }
 
 /// Deterministic rank-indexed descent: returns the leaf reached from `from`
@@ -131,27 +141,26 @@ template <typename View>
 [[nodiscard]] tree::NodeId ranked_slack_leaf(const View& view,
                                              tree::NodeId from,
                                              std::uint64_t rank) {
-  const tree::TreeShape& shape = view.shape();
-  tree::NodeId node = from;
-  while (!shape.is_leaf(node)) {
-    const tree::NodeId left = shape.left(node);
-    const tree::NodeId right = shape.right(node);
-    const std::uint64_t cap_left = view.remaining_capacity(left);
-    const std::uint64_t cap_right = view.remaining_capacity(right);
+  tree::SubtreeCursor at = view.shape().cursor(from);
+  while (!at.is_leaf()) {
+    const tree::SubtreeCursor left = at.left();
+    const tree::SubtreeCursor right = at.right();
+    const std::uint64_t cap_left = spare_capacity(view, left);
+    const std::uint64_t cap_right = spare_capacity(view, right);
     if (cap_left + cap_right == 0) {
-      return shape.leaf_at(shape.first_leaf(node));  // see sample_weighted_leaf
+      return view.shape().leaf_at(at.first_leaf);  // see sample_weighted_leaf
     }
     // Clamp out-of-range ranks (possible under divergent views) to the last
     // available slot; the capacity-clipped movement makes any target safe.
     rank = std::min(rank, cap_left + cap_right - 1);
     if (rank < cap_left) {
-      node = left;
+      at = left;
     } else {
       rank -= cap_left;
-      node = right;
+      at = right;
     }
   }
-  return node;
+  return at.node;
 }
 
 /// One-level halving step: returns the child of `from` assigned to the ball
@@ -163,13 +172,13 @@ template <typename View>
 [[nodiscard]] tree::NodeId halving_child(const View& view, tree::NodeId from,
                                          std::uint32_t rank,
                                          std::uint32_t mates) {
-  const tree::TreeShape& shape = view.shape();
-  BIL_REQUIRE(!shape.is_leaf(from), "halving_child requires an inner node");
+  const tree::SubtreeCursor at = view.shape().cursor(from);
+  BIL_REQUIRE(!at.is_leaf(), "halving_child requires an inner node");
   BIL_REQUIRE(rank < mates, "rank must be below the node's ball count");
-  const tree::NodeId left = shape.left(from);
-  const tree::NodeId right = shape.right(from);
-  const std::uint64_t cap_left = view.remaining_capacity(left);
-  const std::uint64_t cap_right = view.remaining_capacity(right);
+  const tree::NodeId left = at.left().node;
+  const tree::NodeId right = at.right().node;
+  const std::uint64_t cap_left = spare_capacity(view, at.left());
+  const std::uint64_t cap_right = spare_capacity(view, at.right());
   if (cap_left + cap_right == 0) {
     return left;  // stale-entry corner; movement clips immediately
   }

@@ -197,22 +197,22 @@ std::uint32_t LocalTreeView::balls_at(NodeId node) const {
 NodeId LocalTreeView::descend_toward(Label ball, NodeId target) {
   const std::size_t slot = index_of(ball);
   BIL_REQUIRE(node_of_[slot] != kNoNode, "cannot move a removed ball");
-  NodeId node = node_of_[slot];
-  BIL_REQUIRE(shape_->is_ancestor_or_self(node, target),
+  const NodeId start = node_of_[slot];
+  if (start == target) {
+    return start;  // a trivial path (every ball on a leaf has one)
+  }
+  BIL_REQUIRE(shape_->is_ancestor_or_self(start, target),
               "descent target must lie in the ball's current subtree");
   // Advance into each next subtree only while it can still absorb one more
   // ball; the counts are updated step by step so that balls processed later
-  // in <R order observe this ball's placement.
-  while (node != target) {
-    const NodeId next = shape_->child_toward(node, target);
-    if (remaining_capacity(next) == 0) {
-      break;
-    }
-    subtree_count_[next] += 1;
-    node = next;
-  }
-  node_of_[slot] = node;
-  return node;
+  // in <R order observe this ball's placement. The cursor walks toward the
+  // target's leftmost leaf, whose root path runs through the target.
+  const NodeId stop = clipped_descent(
+      shape_->cursor(start), target, shape_->first_leaf(target),
+      [this](NodeId next) { return subtree_count_.at(next); },
+      [this](NodeId next) { ++subtree_count_[next]; });
+  node_of_[slot] = stop;
+  return stop;
 }
 
 std::optional<Label> LocalTreeView::find_ball_at(NodeId node) const {

@@ -28,6 +28,29 @@ namespace bil::tree {
 
 using sim::Label;
 
+/// Algorithm 1's capacity-clipped descent (lines 14–18) over any count
+/// source: from `from`, step toward `target` — a node in `from`'s subtree
+/// whose leftmost leaf has rank `target_leaf` — entering each next subtree
+/// only while `balls(child)` is below its leaf count, and calling
+/// `enter(child)` for each subtree entered. Returns the node where the walk
+/// stops. LocalTreeView::descend_toward runs it on the view's own counts;
+/// the fast sim also runs it on a count overlay (core/delivery_classes.h).
+template <typename Balls, typename Enter>
+[[nodiscard]] NodeId clipped_descent(SubtreeCursor from, NodeId target,
+                                     std::uint32_t target_leaf,
+                                     const Balls& balls, const Enter& enter) {
+  SubtreeCursor at = from;
+  while (at.node != target) {
+    const SubtreeCursor next = at.child_toward(target_leaf);
+    if (balls(next.node) >= next.leaves) {
+      break;
+    }
+    enter(next.node);
+    at = next;
+  }
+  return at.node;
+}
+
 class LocalTreeView {
  public:
   explicit LocalTreeView(std::shared_ptr<const TreeShape> shape);

@@ -26,6 +26,33 @@ using NodeId = std::uint32_t;
 /// Sentinel for "no node" (parent of the root, children of leaves).
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 
+/// A node together with its subtree's leaf range: everything a downward
+/// walk needs, without TreeShape's node records. Node ids are preorder over
+/// the left-heavy split, so a subtree of k leaves is the id range
+/// [node, node + 2k − 1), its left child is node + 1 with ⌈k/2⌉ leaves, and
+/// its right child follows the left subtree's 2⌈k/2⌉ − 1 nodes with ⌊k/2⌋.
+struct SubtreeCursor {
+  NodeId node = 0;
+  std::uint32_t first_leaf = 0;
+  std::uint32_t leaves = 1;
+
+  [[nodiscard]] constexpr bool is_leaf() const noexcept { return leaves == 1; }
+  [[nodiscard]] constexpr SubtreeCursor left() const noexcept {
+    return {node + 1, first_leaf, (leaves + 1) / 2};
+  }
+  [[nodiscard]] constexpr SubtreeCursor right() const noexcept {
+    const std::uint32_t left_leaves = (leaves + 1) / 2;
+    return {node + 2 * left_leaves, first_leaf + left_leaves,
+            leaves - left_leaves};
+  }
+  /// The child whose leaf range holds leaf rank `leaf`. Requires an inner
+  /// node and `leaf` within this subtree's range.
+  [[nodiscard]] constexpr SubtreeCursor child_toward(
+      std::uint32_t leaf) const noexcept {
+    return leaf < first_leaf + (leaves + 1) / 2 ? left() : right();
+  }
+};
+
 class TreeShape {
  public:
   /// Builds the canonical shape over `num_leaves` >= 1 leaves.
@@ -69,6 +96,11 @@ class TreeShape {
   /// Left-to-right rank of the leftmost leaf in `node`'s subtree.
   [[nodiscard]] std::uint32_t first_leaf(NodeId node) const {
     return nodes_.at(node).first_leaf;
+  }
+  /// A cursor at `node`; walking down from it reads no further records.
+  [[nodiscard]] SubtreeCursor cursor(NodeId node) const {
+    const Node& record = nodes_.at(node);
+    return {node, record.first_leaf, record.leaf_count};
   }
 
   /// Leaf node holding rank `rank` (0-based, left to right).

@@ -43,11 +43,12 @@ Rng::result_type Rng::operator()() noexcept {
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   // Rejection sampling: draw until the value falls into the largest multiple
-  // of `bound` that fits in 64 bits. Expected < 2 draws for any bound.
-  const std::uint64_t threshold = (0 - bound) % bound;  // 2^64 mod bound
+  // of `bound` that fits in 64 bits. Expected < 2 draws for any bound. The
+  // threshold 2^64 mod bound is below `bound`, so a draw >= bound is always
+  // accepted and needs no threshold division.
   for (;;) {
     const std::uint64_t value = (*this)();
-    if (value >= threshold) {
+    if (value >= bound || value >= (0 - bound) % bound) {
       return value % bound;
     }
   }

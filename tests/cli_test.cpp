@@ -81,6 +81,13 @@ TEST(Cli, UnreadBudgetsAreRejectedByFlagName) {
       {"--adversary=burst --crashes=4 --horizon=4", "--horizon"},
       {"--adversary=sandwich --crashes=4 --burst-round=2", "--burst-round"},
       {"--adversary=none --horizon=8", "--horizon"},
+      // An explicit none is a choice: --delay must not turn it into
+      // bounded-delay.
+      {"--adversary=none --delay=3", "--delay"},
+      {"--adversary=none --gst=8", "--gst"},
+      {"--adversary=none --subset=all", "--subset"},
+      {"--adversary=byzantine-liar --byzantine=2 --subset=silent",
+       "--subset"},
   };
   for (const Case& c : cases) {
     const CliResult result =
@@ -94,6 +101,32 @@ TEST(Cli, UnreadBudgetsAreRejectedByFlagName) {
   }
 }
 
+TEST(Cli, BareDelayStillSelectsBoundedDelay) {
+  const CliResult result = run_bil_run("--n=16 --seeds=1 --json --delay=3");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("\"kind\":\"bounded-delay\""),
+            std::string::npos)
+      << result.output;
+}
+
+TEST(Cli, SubsetReachesTheSpec) {
+  // Silent and all deliveries differ on the wire, so the flag must change
+  // the run's deliveries, and an unknown policy is named.
+  const std::string base =
+      "--n=64 --seeds=1 --json --backend=engine --adversary=eager "
+      "--crashes=8 --per-round=4 --subset=";
+  const CliResult silent = run_bil_run(base + "silent");
+  const CliResult all = run_bil_run(base + "all");
+  EXPECT_EQ(silent.exit_code, 0) << silent.output;
+  EXPECT_EQ(all.exit_code, 0) << all.output;
+  EXPECT_NE(silent.output, all.output);
+  const CliResult unknown = run_bil_run(base + "most");
+  EXPECT_NE(unknown.exit_code, 0);
+  EXPECT_NE(unknown.output.find("unknown subset policy 'most'"),
+            std::string::npos)
+      << unknown.output;
+}
+
 TEST(Cli, ReadBudgetsStillRun) {
   const char* const accepted[] = {
       "--adversary=eager --crashes=4",
@@ -101,6 +134,8 @@ TEST(Cli, ReadBudgetsStillRun) {
       "--adversary=byzantine-liar --byzantine=2 --byzantine-rounds=3",
       "--delay=3 --timeout=2",
       "--delay=3 --gst=8 --timeout=2",
+      "--adversary=eager --crashes=4 --subset=alternating",
+      "--adversary=targeted-winner --crashes=4 --subset=all",
   };
   for (const char* args : accepted) {
     const CliResult result =

@@ -105,6 +105,44 @@ TEST(Shape, ChildTowardWalksCorrectly) {
   EXPECT_EQ(steps, shape.depth(target));
 }
 
+// SubtreeCursor derives children from a node's leaf count alone; it must
+// agree with the shape's records at every node, for odd and even splits.
+TEST(Shape, CursorMatchesNodeRecordsEverywhere) {
+  std::vector<std::uint32_t> sizes;
+  for (std::uint32_t n = 1; n <= 300; ++n) {
+    sizes.push_back(n);
+  }
+  for (std::uint32_t k = 9; k <= 18; ++k) {
+    sizes.push_back((1u << k) - 1);
+    sizes.push_back(1u << k);
+    sizes.push_back((1u << k) + 1);
+  }
+  for (const std::uint32_t n : sizes) {
+    const TreeShape shape(n);
+    for (NodeId node = 0; node < shape.num_nodes(); ++node) {
+      const SubtreeCursor at = shape.cursor(node);
+      ASSERT_EQ(at.node, node);
+      ASSERT_EQ(at.leaves, shape.leaf_count(node)) << "n=" << n;
+      ASSERT_EQ(at.first_leaf, shape.first_leaf(node)) << "n=" << n;
+      ASSERT_EQ(at.is_leaf(), shape.is_leaf(node)) << "n=" << n;
+      if (at.is_leaf()) {
+        continue;
+      }
+      for (const SubtreeCursor child : {at.left(), at.right()}) {
+        const NodeId expected =
+            child.first_leaf == at.first_leaf ? shape.left(node)
+                                              : shape.right(node);
+        ASSERT_EQ(child.node, expected) << "n=" << n << " node=" << node;
+        ASSERT_EQ(child.leaves, shape.leaf_count(expected)) << "n=" << n;
+        ASSERT_EQ(child.first_leaf, shape.first_leaf(expected)) << "n=" << n;
+      }
+      const std::uint32_t last = at.first_leaf + at.leaves - 1;
+      ASSERT_EQ(at.child_toward(at.first_leaf).node, shape.left(node));
+      ASSERT_EQ(at.child_toward(last).node, shape.right(node));
+    }
+  }
+}
+
 TEST(Shape, PathEndpoints) {
   const TreeShape shape(16);
   const NodeId target = shape.leaf_at(9);

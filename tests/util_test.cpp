@@ -99,6 +99,37 @@ TEST(Rng, BelowOneIsAlwaysZero) {
   }
 }
 
+// Rng::below skips the threshold division for draws >= bound (always
+// accepted, since 2^64 mod bound < bound). This reference divides first, as
+// the sampler once did; both must consume and return the same stream,
+// including at bounds whose threshold rejects about half of all draws.
+std::uint64_t below_dividing_first(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t value = rng();
+    if (value >= threshold) {
+      return value % bound;
+    }
+  }
+}
+
+TEST(Rng, BelowMatchesTheDivisionFirstStream) {
+  std::vector<std::uint64_t> bounds = {1, 2, 3, (1ULL << 63) + 1, ~0ULL};
+  for (int k = 2; k < 64; ++k) {
+    bounds.push_back((1ULL << k) - 1);
+    bounds.push_back((1ULL << k) + 1);
+  }
+  for (const std::uint64_t bound : bounds) {
+    Rng fast(bound ^ 0x5EED);
+    Rng reference(bound ^ 0x5EED);
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_EQ(fast.below(bound), below_dividing_first(reference, bound))
+          << "bound " << bound << ", draw " << i;
+    }
+    EXPECT_EQ(fast(), reference()) << "bound " << bound;
+  }
+}
+
 TEST(Rng, BelowIsRoughlyUniform) {
   Rng rng(99);
   std::array<int, 4> buckets{};

@@ -21,6 +21,7 @@
 #include "api/backend.h"
 #include "api/registry.h"
 #include "api/sweep.h"
+#include "search/genome.h"
 #include "service/churn.h"
 #include "service/service.h"
 #include "sim/trace.h"
@@ -202,6 +203,7 @@ int main(int argc, char** argv) {
   std::uint32_t seeds = 5;
   std::uint64_t seed_base = 1;
   std::string adversary = "none";
+  std::string subset = "random-half";
   // The adversary flags bind to one spec; the chosen kind's make() keeps
   // the fields it reads. uint32 fields parse through the range-checked
   // add_uint32 path, so out-of-range input fails instead of wrapping.
@@ -241,6 +243,10 @@ int main(int argc, char** argv) {
                    "crash-round horizon for --adversary=oblivious");
   flags.add_uint32("per-round", &knobs.per_round,
                    "victims per firing round (sandwich/eager/targeted)");
+  flags.add_string("subset", &subset,
+                   "which processes receive a crash victim's final "
+                   "broadcast: silent|alternating|random-half|all "
+                   "(oblivious/burst/eager/targeted)");
   flags.add_uint32("byzantine", &knobs.byzantine,
                    "Byzantine budget f for the byzantine-* adversaries "
                    "(wire-corrupting senders; engine backend only)");
@@ -334,8 +340,9 @@ int main(int argc, char** argv) {
     }
     // --gst / --delay select their adversary by themselves when the user
     // hasn't picked one: a delay bound means bounded-delay, a stabilization
-    // tick means partial synchrony (gst wins when both are given).
-    if (adversary == "none") {
+    // tick means partial synchrony (gst wins when both are given). An
+    // explicit --adversary=none is a choice, so its delay flags are unread.
+    if (!flags.given("adversary")) {
       if (knobs.delay.gst > 0) {
         adversary = "gst";
       } else if (knobs.delay.max_delay > 0) {
@@ -343,6 +350,9 @@ int main(int argc, char** argv) {
       }
     }
     // --delay=0 and --gst=0 stand for d = 4 and GST = 8.
+    if (flags.given("subset")) {
+      knobs.subset = search::parse_subset_policy(subset);
+    }
     sim::DelaySpec& delay = knobs.delay;
     delay.max_delay = delay.max_delay == 0 ? 4 : delay.max_delay;
     delay.gst = delay.gst == 0 ? 8 : delay.gst;
@@ -355,7 +365,8 @@ int main(int argc, char** argv) {
         {"horizon", reads.horizon},     {"per-round", reads.per_round},
         {"byzantine", reads.byzantine}, {"timeout", reads.timeout},
         {"byzantine-rounds", reads.byzantine_rounds},
-        {"delay", reads.max_delay},     {"gst", reads.gst}};
+        {"delay", reads.max_delay},     {"gst", reads.gst},
+        {"subset", reads.subset}};
     for (const auto& [flag, read] : adversary_flags) {
       BIL_REQUIRE(read || !flags.given(flag),
                   "--" + std::string(flag) + " is not read by adversary '" +
