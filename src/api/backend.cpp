@@ -64,9 +64,9 @@ RunRecord FastSimBackend::run(const CellConfig& cell,
   // for this (spec, n, seed) — null for a crash-free cell — so victim
   // choices, crash rounds and delivery-subset coins are bit-identical
   // (core/fast_sim_crash.h). The traffic-oracle kinds additionally need the
-  // tree shape their decode logic measures depths against — TreeShape::make
-  // is a pure function of n, so a fresh shape is the engine's shape — and
-  // are driven through synthesized round traffic (core/fast_sim_targeted.h).
+  // tree shape they measure depths against — TreeShape::make is a pure
+  // function of n, so a fresh shape is the engine's shape — and read each
+  // round's announcements as a typed record (core/fast_sim_targeted.h).
   const bool oracle = adversary_info(cell.adversary.kind).route ==
                       harness::FastSimRoute::kTrafficOracle;
   const std::unique_ptr<sim::Adversary> adversary = harness::make_adversary(

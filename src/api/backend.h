@@ -85,8 +85,8 @@ class EngineBackend final : public Backend {
 /// adversary (if any) has a fast-sim route (the regimes where it is provably exact); fast_sim_compatible
 /// tells you in advance. Every cell runs core::run_fast_sim_crash, which
 /// replays the engine's adversary object bit-for-bit (none when crash-free);
-/// traffic-oracle kinds go through core::run_fast_sim_targeted, which feeds
-/// that object synthesized round traffic.
+/// traffic-oracle kinds go through core::run_fast_sim_targeted, which hands
+/// that object each round's announcements as a typed record.
 class FastSimBackend final : public Backend {
  public:
   [[nodiscard]] BackendKind kind() const noexcept override {
@@ -129,7 +129,7 @@ inline constexpr std::uint32_t kAutoFastSimCrashMinN = 8192;
 /// Targeted-adversary cells at least this large take the fast path under
 /// BackendKind::kAuto. Same value as kAutoFastSimCrashMinN today — the
 /// byte-measurement trade-off is identical (subset deliveries bend real
-/// traffic; the oracle path reconstructs counts, never bytes) and the
+/// traffic; the fast path reconstructs counts, never bytes) and the
 /// engine argument is *stronger*: a targeted engine run decodes the whole
 /// round's traffic on top of the O(n²) fabric, so n = 8192 is already the
 /// slowest cell class in the report presets. Kept as a separate knob so

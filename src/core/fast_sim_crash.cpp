@@ -1,11 +1,14 @@
 #include "core/fast_sim_crash.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/delivery_classes.h"
+#include "core/fast_sim_targeted.h"
 #include "core/seeds.h"
+#include "core/targeted_adversary.h"
 #include "tree/local_view.h"
 #include "util/contract.h"
 #include "util/rng.h"
@@ -60,11 +63,12 @@ class GhostedView {
 
 class CrashFastSim {
  public:
+  /// With `typed_traffic`, the adversary's view carries each round's
+  /// announcements as a core::RoundTraffic record (core/fast_sim_targeted.h).
   CrashFastSim(const CrashFastSimOptions& options, sim::Adversary* adversary,
-               AdversaryViewOracle* oracle)
+               bool typed_traffic)
       : options_(options),
         adversary_(adversary),
-        oracle_(oracle),
         shape_(tree::TreeShape::make(options.n)),
         view_(shape_),
         status_(options.n, Status::kAlive),
@@ -75,6 +79,14 @@ class CrashFastSim {
     rngs_.reserve(options.n);
     for (std::uint32_t i = 0; i < options.n; ++i) {
       rngs_.emplace_back(derive_seed(options.seed, kSeedDomainProcess, i));
+    }
+    if (typed_traffic) {
+      // Fast-sim compatibility pins labels to ids (api::backend).
+      labels_.resize(options.n);
+      std::iota(labels_.begin(), labels_.end(), sim::Label{0});
+      positions_.resize(options.n);
+      traffic_ = RoundTraffic{
+          .labels = labels_, .nodes = positions_, .targets = targets_};
     }
   }
 
@@ -128,18 +140,14 @@ class CrashFastSim {
     }
 
     // ---- Adversary phase: identical observation point to the engine —
-    // after sends, before delivery — against the same alive list. With an
-    // oracle, the adversary additionally sees this round's synthesized
-    // traffic (every alive ball's own-view position is view_.current and
-    // its candidate target is targets_, both exact at this point).
+    // after sends, before delivery — against the same alive list.
     sim::CrashPlan plan;
     if (adversary_ != nullptr) {
       const std::uint32_t budget = options_.max_crashes - crashes_so_far_;
-      const sim::RoundView view =
-          oracle_ != nullptr
-              ? oracle_->round_view(round, alive_, budget, view_, targets_)
-              : sim::make_schedule_view(round, options_.n, alive_, budget);
-      adversary_->schedule(view, plan);
+      adversary_->schedule(
+          sim::make_schedule_view(round, options_.n, alive_, budget,
+                                  announcements(round, budget)),
+          plan);
     }
     deliver_to_.resize(plan.crashes().size());
     for (std::size_t v = 0; v < plan.crashes().size(); ++v) {
@@ -178,6 +186,22 @@ class CrashFastSim {
     } else {
       process_position_round(round, plan);
     }
+  }
+
+  /// This round's announcements for a protocol-aware adversary, or null
+  /// without typed traffic. Every alive ball announces its own-view position
+  /// (its start, on path rounds), which is view_.current(id) here, and on
+  /// path rounds its target from targets_ (core/fast_sim_targeted.h). Round
+  /// 0 and a spent budget fill nothing: the adversary reads nothing then.
+  const RoundTraffic* announcements(sim::RoundNumber round,
+                                    std::uint32_t budget) {
+    if (labels_.empty() || round == 0 || budget == 0) {
+      return nullptr;
+    }
+    for (const sim::ProcessId id : alive_) {
+      positions_[id] = view_.current(id);
+    }
+    return &traffic_;
   }
 
   /// Round 0: survivors insert each other at the root; each init victim
@@ -367,13 +391,17 @@ class CrashFastSim {
 
   CrashFastSimOptions options_;
   sim::Adversary* adversary_;
-  AdversaryViewOracle* oracle_;
   std::shared_ptr<const tree::TreeShape> shape_;
   tree::LocalTreeView view_;
   std::vector<Status> status_;
   std::vector<Rng> rngs_;
   std::vector<sim::ProcessId> alive_;
   std::vector<tree::NodeId> targets_;
+  /// Typed traffic only: labels_[id] == id, each alive ball's announced
+  /// node this round, and the record over them and targets_.
+  std::vector<sim::Label> labels_;
+  std::vector<tree::NodeId> positions_;
+  RoundTraffic traffic_;
   std::vector<sim::Label> halted_pending_;
   std::vector<Ghost> ghosts_;
   std::vector<std::uint64_t> names_;
@@ -392,15 +420,24 @@ class CrashFastSim {
   bool any_decided_ = false;
 };
 
-}  // namespace
-
-CrashFastSimResult run_fast_sim_crash(const CrashFastSimOptions& options,
-                                      sim::Adversary* adversary,
-                                      AdversaryViewOracle* oracle) {
+CrashFastSimResult simulate(const CrashFastSimOptions& options,
+                            sim::Adversary* adversary, bool typed_traffic) {
   BIL_REQUIRE(options.n >= 1, "need at least one ball");
   BIL_REQUIRE(options.max_crashes < options.n,
               "crash budget t must satisfy t < n");
-  return CrashFastSim(options, adversary, oracle).run();
+  return CrashFastSim(options, adversary, typed_traffic).run();
+}
+
+}  // namespace
+
+CrashFastSimResult run_fast_sim_crash(const CrashFastSimOptions& options,
+                                      sim::Adversary* adversary) {
+  return simulate(options, adversary, /*typed_traffic=*/false);
+}
+
+CrashFastSimResult run_fast_sim_targeted(const CrashFastSimOptions& options,
+                                         sim::Adversary* adversary) {
+  return simulate(options, adversary, /*typed_traffic=*/true);
 }
 
 void validate_fast_names(std::span<const std::uint64_t> names,

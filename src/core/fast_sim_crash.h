@@ -73,16 +73,14 @@
 // engine remains the executor for dense random-half bursts). The adversary
 // itself adds the O(Σ|subset|) it spends materializing delivery subsets.
 //
-// Protocol-aware adversaries — strategies that decode the round's traffic
-// off the wire instead of consulting only the schedule — are served through
-// an AdversaryViewOracle: a per-round hook that synthesizes, from the same
-// symbolic state, exactly the outbox contents the engine's processes would
-// have broadcast, so Adversary::schedule decodes identical messages and
-// commits the identical plan. core/fast_sim_targeted.h provides the oracle
-// for the Balls-into-Leaves wire protocol (Init/Path/Position traffic) and
-// is how the targeted collision adversaries run symbolically; with a null
-// oracle the adversary sees the schedule-only view (sim::make_schedule_view)
-// as before.
+// Protocol-aware adversaries — strategies that read the round's traffic
+// instead of consulting only the schedule — run through
+// run_fast_sim_targeted (core/fast_sim_targeted.h). It attaches each round's
+// announcements to the adversary's view as a typed record
+// (core::RoundTraffic) filled from the same symbolic state, so the
+// adversary reads exactly what the engine's processes would have broadcast
+// and commits the identical plan. run_fast_sim_crash drives the adversary
+// through the schedule-only view (sim::make_schedule_view) alone.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +90,6 @@
 #include "core/observer.h"
 #include "core/policy.h"
 #include "sim/adversary.h"
-#include "tree/local_view.h"
 
 namespace bil::core {
 
@@ -127,40 +124,14 @@ struct CrashFastSimResult {
   std::vector<std::uint64_t> names;
 };
 
-/// Supplies the RoundView the adversary schedules against, called once per
-/// round at the engine's exact observation point: after every alive ball's
-/// round-r send (and, on path rounds, after this round's protocol coins were
-/// consumed computing targets), before any crash or delivery. `canonical` is
-/// the simulator's single tree view at that instant — every alive ball's own
-/// position in its own local view equals canonical.current(id), which is
-/// precisely what the ball stamps into its round-r broadcast. `targets`
-/// holds this round's candidate target per ball id; entries are meaningful
-/// for alive balls on path rounds (odd) only. Implementations synthesize
-/// round traffic from these and return a view over it (sim/oracle_view.h).
-class AdversaryViewOracle {
- public:
-  AdversaryViewOracle() = default;
-  AdversaryViewOracle(const AdversaryViewOracle&) = delete;
-  AdversaryViewOracle& operator=(const AdversaryViewOracle&) = delete;
-  virtual ~AdversaryViewOracle() = default;
-
-  [[nodiscard]] virtual sim::RoundView round_view(
-      sim::RoundNumber round, std::span<const sim::ProcessId> alive,
-      std::uint32_t crash_budget_remaining,
-      const tree::LocalTreeView& canonical,
-      std::span<const tree::NodeId> targets) = 0;
-};
-
 /// Runs the simulation to completion. `adversary` may be null (the
 /// failure-free run) and must be freshly constructed for this run's seed — its
-/// internal RNG state is consumed exactly as an engine run would. With a
-/// null `oracle` the adversary is driven through the schedule-only view
-/// (sim::make_schedule_view) and must be schedule-only-drivable; a non-null
-/// oracle additionally serves protocol-aware adversaries by synthesizing
-/// the traffic they decode (core/fast_sim_targeted.h).
+/// internal RNG state is consumed exactly as an engine run would. The
+/// adversary is driven through the schedule-only view
+/// (sim::make_schedule_view) and must be schedule-only-drivable; the
+/// protocol-aware ones take run_fast_sim_targeted (core/fast_sim_targeted.h).
 [[nodiscard]] CrashFastSimResult run_fast_sim_crash(
-    const CrashFastSimOptions& options, sim::Adversary* adversary,
-    AdversaryViewOracle* oracle = nullptr);
+    const CrashFastSimOptions& options, sim::Adversary* adversary);
 
 /// Validates a fast-sim run's names to sim::validate_renaming's standard,
 /// throwing ContractViolation otherwise: every correct ball decided

@@ -1,44 +1,20 @@
 #include "core/targeted_adversary.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "core/messages.h"
 #include "util/contract.h"
 
 namespace bil::core {
 
-namespace {
-
-/// Decoded round traffic of one process (first protocol message found in its
-/// outbox, which is all our processes ever send per round).
-template <typename T>
-std::vector<std::pair<sim::ProcessId, T>> decode_round(
-    const sim::RoundView& view) {
-  std::vector<std::pair<sim::ProcessId, T>> out;
-  for (sim::ProcessId id : view.alive()) {
-    for (const sim::OutboundMessage& message : view.outgoing(id)) {
-      try {
-        const Message decoded = decode_message(*message.payload);
-        if (const T* msg = std::get_if<T>(&decoded)) {
-          out.emplace_back(id, *msg);
-          break;
-        }
-      } catch (const wire::WireError&) {
-        // not protocol traffic; ignore
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 TargetedCollisionAdversary::TargetedCollisionAdversary(
     std::shared_ptr<const tree::TreeShape> shape, Options options,
     std::uint64_t seed)
     : shape_(std::move(shape)), options_(options), rng_(seed) {
   BIL_REQUIRE(shape_ != nullptr, "targeted adversary needs the tree shape");
+  if (options_.mode == Mode::kContendedWinner) {
+    by_target_.resize(shape_->num_nodes());
+  }
 }
 
 void TargetedCollisionAdversary::schedule(const sim::RoundView& view,
@@ -48,60 +24,84 @@ void TargetedCollisionAdversary::schedule(const sim::RoundView& view,
   }
   const bool path_round = view.round() % 2 == 1;
   if (options_.mode == Mode::kContendedWinner && path_round) {
-    schedule_contended(view, plan);
+    schedule_contended(view, traffic_of(view), plan);
   } else if (options_.mode == Mode::kDeepestAnnouncer && !path_round) {
-    schedule_deepest(view, plan);
+    schedule_deepest(view, traffic_of(view), plan);
   }
 }
 
-void TargetedCollisionAdversary::schedule_contended(const sim::RoundView& view,
-                                                    sim::CrashPlan& plan) {
-  const auto paths = decode_round<PathMsg>(view);
-  // Group claimants by target; ignore balls already sitting at their target
-  // (their "path" is the trivial one — they hold a leaf already). One flat
-  // vector, stable-sorted by target: each group is a contiguous run in
-  // ascending target order, its claimants in alive (outbox) order.
-  struct Claimant {
-    tree::NodeId target;
-    sim::ProcessId id;
-    std::uint32_t start_depth;
-    sim::Label label;
-  };
-  std::vector<Claimant> claimants;
-  claimants.reserve(paths.size());
-  for (const auto& [id, msg] : paths) {
-    if (msg.start == msg.target || msg.target >= shape_->num_nodes()) {
+RoundTraffic TargetedCollisionAdversary::traffic_of(
+    const sim::RoundView& view) {
+  if (view.traffic() != nullptr) {
+    return *view.traffic();
+  }
+  // Each alive process's announcement is the first message in its outbox
+  // that decodes to this round's type: a path on odd rounds, a position on
+  // even ones. Anything else is not protocol traffic and is skipped.
+  const std::uint32_t n = view.num_processes();
+  decoded_labels_.resize(n);
+  decoded_nodes_.resize(n);
+  decoded_targets_.resize(n);
+  const bool path_round = view.round() % 2 == 1;
+  for (const sim::ProcessId id : view.alive()) {
+    decoded_nodes_[id] = tree::kNoNode;
+    decoded_targets_[id] = tree::kNoNode;
+    for (const sim::OutboundMessage& message : view.outgoing(id)) {
+      try {
+        const Message decoded = decode_message(*message.payload);
+        if (const auto* path = std::get_if<PathMsg>(&decoded);
+            path != nullptr && path_round) {
+          decoded_labels_[id] = path->label;
+          decoded_nodes_[id] = path->start;
+          decoded_targets_[id] = path->target;
+          break;
+        }
+        if (const auto* position = std::get_if<PositionMsg>(&decoded);
+            position != nullptr && !path_round) {
+          decoded_labels_[id] = position->label;
+          decoded_nodes_[id] = position->node;
+          break;
+        }
+      } catch (const wire::WireError&) {
+        // not protocol traffic; ignore
+      }
+    }
+  }
+  return RoundTraffic{.labels = decoded_labels_,
+                      .nodes = decoded_nodes_,
+                      .targets = decoded_targets_};
+}
+
+void TargetedCollisionAdversary::schedule_contended(
+    const sim::RoundView& view, const RoundTraffic& traffic,
+    sim::CrashPlan& plan) {
+  // One counting pass in alive order tallies each target's claimants and
+  // keeps its <R favourite: deepest start, then lowest label, the first
+  // such claimant on a tie. Balls already at their target (the trivial
+  // path of a ball holding a leaf) claim nothing.
+  const std::uint32_t num_nodes = shape_->num_nodes();
+  for (const sim::ProcessId id : view.alive()) {
+    const tree::NodeId start = traffic.nodes[id];
+    const tree::NodeId target = traffic.targets[id];
+    if (start == target || target >= num_nodes) {
       continue;
     }
-    claimants.push_back(
-        Claimant{msg.target, id, shape_->depth(msg.start), msg.label});
+    const std::uint32_t depth = shape_->depth(start);
+    Group& group = by_target_[target];
+    if (group.size++ == 0 || depth > group.winner_depth ||
+        (depth == group.winner_depth &&
+         traffic.labels[id] < traffic.labels[group.winner])) {
+      group.winner = id;
+      group.winner_depth = depth;
+    }
   }
-  std::stable_sort(claimants.begin(), claimants.end(),
-                   [](const Claimant& a, const Claimant& b) {
-                     return a.target < b.target;
-                   });
-  // Within a group the <R favourite (deepest start, then lowest label; the
-  // first such claimant on a tie) is the ball whose loss hurts most.
-  struct Group {
-    std::size_t size;
-    sim::ProcessId winner;
-  };
-  std::vector<Group> groups;
-  for (auto begin = claimants.begin(); begin != claimants.end();) {
-    const auto end =
-        std::find_if(begin, claimants.end(), [&](const Claimant& c) {
-          return c.target != begin->target;
-        });
-    const auto winner = std::min_element(
-        begin, end, [](const Claimant& a, const Claimant& b) {
-          if (a.start_depth != b.start_depth) {
-            return a.start_depth > b.start_depth;
-          }
-          return a.label < b.label;
-        });
-    groups.push_back(
-        Group{static_cast<std::size_t>(end - begin), winner->id});
-    begin = end;
+  // The groups in ascending target order, resetting the tallies.
+  groups_.clear();
+  for (Group& group : by_target_) {
+    if (group.size != 0) {
+      groups_.push_back(group);
+      group = Group{};
+    }
   }
   // Most contended targets first. The tie order among equally contended
   // targets is part of the adversary's observable behaviour (the golden
@@ -109,12 +109,11 @@ void TargetedCollisionAdversary::schedule_contended(const sim::RoundView& view,
   // function of the comparator's outcomes alone. So the groups must enter
   // in ascending target order and be compared by size only, as in the
   // map-of-vectors grouping fastsim_targeted_test keeps as its reference.
-  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
-    return a.size > b.size;
-  });
+  std::sort(groups_.begin(), groups_.end(),
+            [](const Group& a, const Group& b) { return a.size > b.size; });
   std::uint32_t budget =
       std::min(options_.per_round, view.crash_budget_remaining());
-  for (const Group& group : groups) {
+  for (const Group& group : groups_) {
     if (budget == 0) {
       break;
     }
@@ -126,17 +125,23 @@ void TargetedCollisionAdversary::schedule_contended(const sim::RoundView& view,
 }
 
 void TargetedCollisionAdversary::schedule_deepest(const sim::RoundView& view,
+                                                  const RoundTraffic& traffic,
                                                   sim::CrashPlan& plan) {
-  auto positions = decode_round<PositionMsg>(view);
-  std::sort(positions.begin(), positions.end(),
-            [this](const auto& a, const auto& b) {
-              return shape_->depth(a.second.node) >
-                     shape_->depth(b.second.node);
-            });
+  // Announcers in alive order, then deepest first. std::sort is not stable,
+  // so, as above, the input order and the depth-only comparison are what
+  // fix the order among equally deep announcers.
+  announcers_.clear();
+  for (const sim::ProcessId id : view.alive()) {
+    if (traffic.nodes[id] != tree::kNoNode) {
+      announcers_.emplace_back(shape_->depth(traffic.nodes[id]), id);
+    }
+  }
+  std::sort(announcers_.begin(), announcers_.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
   const std::uint32_t budget =
       std::min(options_.per_round, view.crash_budget_remaining());
-  for (std::uint32_t i = 0; i < budget && i < positions.size(); ++i) {
-    const sim::ProcessId victim = positions[i].first;
+  for (std::uint32_t i = 0; i < budget && i < announcers_.size(); ++i) {
+    const sim::ProcessId victim = announcers_[i].second;
     plan.crash(victim, sim::make_delivery_subset(
                            view, victim, options_.subset_policy, rng_));
   }

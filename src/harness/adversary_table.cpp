@@ -57,9 +57,9 @@ std::unique_ptr<sim::Adversary> eager(const AdversarySpec& spec,
       seed);
 }
 
-// Protocol-aware: reads outboxes, so it is not drivable through
-// sim::make_schedule_view; the fast path feeds it synthesized round traffic
-// instead (core/fast_sim_targeted.h).
+// Protocol-aware: reads the round's traffic, so a schedule-only view does
+// not drive it; the fast path attaches that traffic to the view as a typed
+// record (core/fast_sim_targeted.h).
 template <core::TargetedCollisionAdversary::Mode kMode>
 std::unique_ptr<sim::Adversary> targeted(const AdversarySpec& spec,
                                          std::uint32_t,

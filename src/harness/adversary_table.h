@@ -101,8 +101,9 @@ enum class FastSimRoute : std::uint8_t {
   /// A schedule-only crash strategy (sim/adversaries.h), replayed through
   /// sim::make_schedule_view by core::run_fast_sim_crash.
   kScheduleReplay,
-  /// An outbox-reading strategy fed synthesized round traffic by
-  /// core::run_fast_sim_targeted (sim/oracle_view.h).
+  /// A strategy that reads the round's protocol traffic, replayed by
+  /// core::run_fast_sim_targeted, which attaches that traffic to the view
+  /// as a typed record (core::RoundTraffic).
   kTrafficOracle,
   /// No symbolic replay: Byzantine corruption rewrites per-recipient wire
   /// traffic, and delay scheduling needs the engine's virtual clock.

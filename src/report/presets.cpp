@@ -1093,8 +1093,8 @@ PresetSpec ci_preset() {
 
   // Reduced targeted-at-scale cell: n = 2^15 is above
   // kAutoFastSimTargetedMinN, so kAuto routes it to the traffic-oracle
-  // fast path — the CI drift gate exercises the synthesized-traffic
-  // adversary replay at a size the engine could not serve in a CI budget.
+  // fast path — the CI drift gate exercises the typed-traffic adversary
+  // replay at a size the engine could not serve in a CI budget.
   SeriesSpec targeted;
   targeted.label = "bil-targeted-winner";
   targeted.algorithm = Algorithm::kBallsIntoLeaves;

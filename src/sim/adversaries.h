@@ -3,9 +3,9 @@
 // Every bound in the paper is "against a strong adaptive adversary", so the
 // benchmark harness must attack the algorithms with executable adversaries.
 // Each strategy below documents which proof scenario it probes. The
-// BiL-aware TargetedCollisionAdversary (which decodes candidate-path
-// messages off the wire) lives in src/core/targeted_adversary.h because it
-// needs the protocol's message codecs.
+// BiL-aware TargetedCollisionAdversary (which reads the round's candidate
+// paths and position announcements) lives in src/core/targeted_adversary.h
+// because it needs the protocol's message codecs.
 //
 // Schedule-only contract: every *crash* strategy in this file is oblivious
 // in its inputs — schedule() reads only the RoundView's round number, alive
@@ -14,8 +14,9 @@
 // is how the crash-capable fast simulator replays the exact engine crash
 // schedule (victims, rounds, delivery subsets, RNG stream) without an
 // engine. Keep it that way: a strategy that starts reading outboxes leaves
-// the schedule-only set and must instead be driven through synthesized
-// traffic (sim/oracle_view.h), as the targeted adversaries are — an
+// the schedule-only set and must instead read a typed record of the round's
+// traffic that the fast simulator attaches to the view (RoundView::traffic,
+// core/fast_sim_targeted.h), as the targeted adversaries do — an
 // adversary that introspects process() internals has no symbolic replay at
 // all and must take the FastSimRoute::kEngineOnly route in its row of the
 // adversary table (src/harness/adversary_table.h).

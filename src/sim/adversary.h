@@ -21,6 +21,10 @@
 #include "sim/types.h"
 #include "util/contract.h"
 
+namespace bil::core {
+struct RoundTraffic;
+}  // namespace bil::core
+
 namespace bil::sim {
 
 /// Read-only snapshot of the system state the adversary may inspect when
@@ -31,13 +35,15 @@ class RoundView {
             std::span<const ProcessId> alive,
             std::span<const std::unique_ptr<ProcessBase>> processes,
             std::span<const Outbox> outboxes,
-            std::uint32_t crash_budget_remaining) noexcept
+            std::uint32_t crash_budget_remaining,
+            const core::RoundTraffic* traffic = nullptr) noexcept
       : round_(round),
         num_processes_(num_processes),
         alive_(alive),
         processes_(processes),
         outboxes_(outboxes),
-        crash_budget_remaining_(crash_budget_remaining) {}
+        crash_budget_remaining_(crash_budget_remaining),
+        traffic_(traffic) {}
 
   [[nodiscard]] RoundNumber round() const noexcept { return round_; }
   [[nodiscard]] std::uint32_t num_processes() const noexcept {
@@ -70,6 +76,16 @@ class RoundView {
     return crash_budget_remaining_;
   }
 
+  /// This round's protocol traffic as typed per-id fields, from an executor
+  /// that never encodes it (the crash fast sim); null when the traffic is
+  /// only on the wire, in outgoing(). The record belongs to the protocol
+  /// layer (core::RoundTraffic, core/targeted_adversary.h): the view only
+  /// carries it, so a decorator that forwards schedule(view, plan) forwards
+  /// the record too.
+  [[nodiscard]] const core::RoundTraffic* traffic() const noexcept {
+    return traffic_;
+  }
+
  private:
   RoundNumber round_;
   std::uint32_t num_processes_;
@@ -77,6 +93,7 @@ class RoundView {
   std::span<const std::unique_ptr<ProcessBase>> processes_;
   std::span<const Outbox> outboxes_;
   std::uint32_t crash_budget_remaining_;
+  const core::RoundTraffic* traffic_;
 };
 
 /// Schedule-only RoundView: the round/alive/budget snapshot without any
@@ -87,16 +104,15 @@ class RoundView {
 /// so feeding them a schedule-only view reproduces their crash plans (and
 /// their RNG streams, which make_delivery_subset consumes per alive id)
 /// bit-for-bit without materializing processes or traffic. Protocol-aware
-/// adversaries (core::TargetedCollisionAdversary) decode candidate paths via
-/// outgoing(), which throws on a schedule-only view — the fast simulator
-/// drives those through synthesized round traffic instead
-/// (sim/oracle_view.h, fed by core/fast_sim_targeted.h).
+/// adversaries (core::TargetedCollisionAdversary) read the round's
+/// announcements; outgoing() throws on a schedule-only view, so the fast
+/// simulator attaches them as `traffic` instead (core/fast_sim_targeted.h).
 [[nodiscard]] inline RoundView make_schedule_view(
     RoundNumber round, std::uint32_t num_processes,
-    std::span<const ProcessId> alive,
-    std::uint32_t crash_budget_remaining) noexcept {
+    std::span<const ProcessId> alive, std::uint32_t crash_budget_remaining,
+    const core::RoundTraffic* traffic = nullptr) noexcept {
   return RoundView(round, num_processes, alive, {}, {},
-                   crash_budget_remaining);
+                   crash_budget_remaining, traffic);
 }
 
 /// The outbox rewrites a Byzantine adversary commits for one round.

@@ -43,10 +43,9 @@ class DecodeCache;
 /// Slots are individually heap-allocated buffers behind a vector of owning
 /// pointers, so handles stay valid as later sends grow the arena, and an
 /// arena that never receives a payload owns no memory at all. Both matter
-/// because callers hold one outbox per process: the engine, and the traffic
-/// oracle of targeted fast-sim runs at n = 2^15..2^18 (sim/oracle_view.h).
-/// A std::deque, by contrast, allocates a 512-byte node and its map on
-/// construction.
+/// because the engine holds one outbox per process, a dead process's
+/// included. A std::deque, by contrast, allocates a 512-byte node and its
+/// map on construction.
 ///
 /// Lifetime contract (unchanged from the shared_ptr design, now explicit): a
 /// payload handle is valid from next_slot()/intern() until the owning

@@ -246,8 +246,8 @@ TEST(FastSimCrash, AutoRoutesLargeCrashCellsToTheFastPath) {
 }
 
 TEST(FastSimCrash, TargetedAdversariesRideTheTrafficOraclePath) {
-  // The protocol-aware targeted kinds joined the fast domain (traffic
-  // oracle, core/fast_sim_targeted.h) behind their own auto threshold;
+  // The protocol-aware targeted kinds joined the fast domain (typed round
+  // traffic, core/fast_sim_targeted.h) behind their own auto threshold;
   // only non-tree algorithms remain engine-bound for crash cells.
   AdversarySpec spec;
   spec.kind = AdversaryKind::kTargetedWinner;
